@@ -114,6 +114,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise _UsageError(f"cannot read scenario file {path!r}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"scenario file {path!r} is not UTF-8 text (byte {e.start})") from None
 
 
 def _load_scenario(path: str) -> Scenario:

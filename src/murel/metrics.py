@@ -1,38 +1,39 @@
 """Error, disturbance, and bias statistics of an indirect measurement.
 
-All root-mean-square quantities are evaluated on the joint input state
-(object state (x) probe state).  Quantities built from vector norms are
-exactly nonnegative; trace-based ones clamp tiny negative round-off and
-reject anything worse as an internal inconsistency.
+Every statistic of one configuration is read from one `Evaluation`, which
+evolves psi (x) xi, x0 psi (x) xi and y0 psi (x) xi by U once and keeps them
+in the probe meter's eigenbasis.  There a value map f acts as column weights
+f(m_k), by the probe-space spectral identity
+f(U^dag (I (x) M) U) = U^dag (I (x) f(M)) U, and the Heisenberg operators
+x_t, y_t act as x0, y0 on the object index.  So each RMS quantity is the
+norm of an object x probe matrix and each mean an inner product: no
+joint-space operator is built or eigendecomposed.  The probe-averaged bias
+operators come from K = U (I (x) xi), a d x object_dim matrix.  Norm-based
+quantities are exactly nonnegative; the trace-based spread of a mixed state
+clamps tiny negative round-off and rejects anything worse.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import (
-    HermitianObservable,
-    MixedState,
-    PureState,
-    commutator,
-    expectation,
-    probe_partial_expectation,
-    spectral_norm,
-    tensor,
-)
+from .linalg import HermitianObservable, MixedState, PureState, spectral_norm
 from .model import (
-    EvolvedOperators,
+    READOUT_MERGE_GAP,
+    ZERO_PROB,
     IndirectModel,
-    composite_input,
-    conditional_post_state,
-    evolve,
-    readout_probabilities,
+    calibrated_outcomes,
+    evolved_amplitudes,
+    meter_values,
+    readout_clusters,
 )
 
 __all__ = [
+    "Evaluation",
     "MetricsReport",
     "accuracy_commutator_residual",
     "conditional_pairs",
@@ -60,202 +61,47 @@ def _sqrt_clamped(value: float, scale: float) -> float:
     return math.sqrt(max(value, 0.0))
 
 
-def _rms(op: np.ndarray, psi: np.ndarray) -> float:
-    """sqrt(<psi|op^2|psi>) for Hermitian op, via ||op psi||."""
-    return float(np.linalg.norm(op @ psi))
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm of a vector or matrix."""
+    return math.sqrt(np.vdot(a, a).real)
 
 
-def _op(x) -> np.ndarray:
-    return x.matrix if isinstance(x, HermitianObservable) else np.asarray(x, dtype=complex)
+def _spread(v: np.ndarray, a_v: np.ndarray) -> float:
+    """Standard deviation of Hermitian A in the unit state v, from v and A v."""
+    return _norm(a_v - np.vdot(v, a_v).real * v)
 
 
 def stddev(state: PureState | MixedState, observable) -> float:
     """Standard deviation of an observable in a pure or mixed state."""
-    a = _op(observable)
-    if isinstance(state, PureState):
-        mean = float(expectation(state, a).real)
-        return _rms(a - mean * np.eye(a.shape[0]), state.amplitudes)
+    a = np.asarray(observable.matrix if isinstance(observable, HermitianObservable) else observable, complex)
     if a.shape != (state.dim, state.dim):
         raise ValueError(f"operator shape {a.shape} does not match state dim {state.dim}")
+    if isinstance(state, PureState):
+        return _spread(state.amplitudes, a @ state.amplitudes)
     mean = float(np.trace(state.rho @ a).real)
     b = a - mean * np.eye(a.shape[0])
     var = float(np.trace(state.rho @ b @ b).real)
     return _sqrt_clamped(var, float(np.trace(state.rho @ a @ a).real) + mean * mean)
 
 
-def _evolved(model, x0, y0, evolved):
-    return evolved if evolved is not None else evolve(model, x0, y0)
+def _bias_operators(model: IndirectModel, x0: HermitianObservable) -> tuple[np.ndarray, np.ndarray]:
+    """Probe-averaged bias operators <xi| f_x0(X_t) - x0 (x) I |xi> and <xi| f_xt(X_t) - x_t |xi>.
 
-
-def error_x0(
-    model: IndirectModel,
-    state: PureState,
-    x0: HermitianObservable,
-    *,
-    evolved: EvolvedOperators | None = None,
-) -> float:
-    """RMS gap between assigned measurement values and the pre-interaction observable."""
-    ev = _evolved(model, x0, x0, evolved)
-    psi = composite_input(model, state)
-    d = ev.mvo_x0 - tensor(x0.matrix, np.eye(model.probe_dim))
-    return _rms(d, psi)
-
-
-def error_xt(
-    model: IndirectModel,
-    state: PureState,
-    x0: HermitianObservable,
-    *,
-    evolved: EvolvedOperators | None = None,
-) -> float:
-    """RMS gap between assigned values and the post-interaction observable."""
-    ev = _evolved(model, x0, x0, evolved)
-    psi = composite_input(model, state)
-    return _rms(ev.mvo_xt - ev.x_t, psi)
-
-
-def disturbance_y0(
-    model: IndirectModel,
-    state: PureState,
-    y0: HermitianObservable,
-    *,
-    evolved: EvolvedOperators | None = None,
-) -> float:
-    """RMS change the interaction imposes on a second object observable."""
-    ev = _evolved(model, y0, y0, evolved) if evolved is None else evolved
-    psi = composite_input(model, state)
-    d = ev.y_t - tensor(y0.matrix, np.eye(model.probe_dim))
-    return _rms(d, psi)
-
-
-def mvo_stddev(
-    model: IndirectModel,
-    state: PureState,
-    x0: HermitianObservable,
-    *,
-    evolved: EvolvedOperators | None = None,
-) -> float:
-    """Standard deviation of the assigned measurement values."""
-    ev = _evolved(model, x0, x0, evolved)
-    return stddev(PureState(composite_input(model, state)), ev.mvo_x0)
-
-
-def systematic_error(
-    model: IndirectModel,
-    state: PureState,
-    x0: HermitianObservable,
-    *,
-    evolved: EvolvedOperators | None = None,
-) -> tuple[float, float]:
-    """(delta, |delta|): mean assigned value minus mean of the target observable."""
-    ev = _evolved(model, x0, x0, evolved)
-    psi = PureState(composite_input(model, state))
-    delta = float(expectation(psi, ev.mvo_x0).real) - float(expectation(state, x0.matrix).real)
-    return delta, abs(delta)
-
-
-def random_error(
-    model: IndirectModel,
-    state: PureState,
-    x0: HermitianObservable,
-    *,
-    evolved: EvolvedOperators | None = None,
-) -> float:
-    """Statistical error component on an eigenstate of the target observable.
-
-    Defined only where sigma(x0) vanishes; there the total error splits into
-    a systematic mean offset and this residual spread:
-    eps_rand = sqrt(max(eps^2 - eps_sys^2, 0)).
+    f_x0 and f_xt are the model's two value maps.  With K = U (I (x) xi),
+    rows in the object x meter-eigenbasis layout,
+    <xi| U^dag (I (x) f(M)) U |xi> = K^dag diag(f) K and
+    <xi| x_t |xi> = K^dag (x0 (x) I) K.
     """
-    sig = stddev(state, x0)
-    if sig > EIGENSTATE_SIGMA_ATOL:
-        raise ValueError(f"random error undefined: sigma(x0) = {sig!r} > {EIGENSTATE_SIGMA_ATOL}")
-    ev = _evolved(model, x0, x0, evolved)
-    eps = error_x0(model, state, x0, evolved=ev)
-    _, eps_sys = systematic_error(model, state, x0, evolved=ev)
-    return math.sqrt(max(eps * eps - eps_sys * eps_sys, 0.0))
+    o, p, d = model.object_dim, model.probe_dim, model.dim
+    k = (model.unitary.reshape(d, o, p) @ model.probe_state.amplitudes).reshape(o, p, o)
+    k = model.meter.eigenvectors.conj().T @ k
+    kh = k.reshape(d, o).conj().T
 
+    def averaged(f):
+        return kh @ (k * meter_values(model, f)[:, None]).reshape(d, o)
 
-def unbiasedness_residual_x0(
-    model: IndirectModel,
-    x0: HermitianObservable,
-    *,
-    evolved: EvolvedOperators | None = None,
-) -> float:
-    """Spectral norm of the probe-averaged bias operator for x0.
-
-    Zero iff assigned values are calibration-true for every object state.
-    """
-    ev = _evolved(model, x0, x0, evolved)
-    d = ev.mvo_x0 - tensor(x0.matrix, np.eye(model.probe_dim))
-    return spectral_norm(probe_partial_expectation(d, model.probe_state))
-
-
-def unbiasedness_residual_xt(
-    model: IndirectModel,
-    x0: HermitianObservable,
-    *,
-    evolved: EvolvedOperators | None = None,
-) -> float:
-    """Spectral norm of the probe-averaged bias operator for the evolved observable."""
-    ev = _evolved(model, x0, x0, evolved)
-    return spectral_norm(probe_partial_expectation(ev.mvo_xt - ev.x_t, model.probe_state))
-
-
-def accuracy_commutator_residual(
-    model: IndirectModel,
-    x0: HermitianObservable,
-    y0: HermitianObservable,
-    *,
-    evolved: EvolvedOperators | None = None,
-) -> float:
-    """Probe-averaged commutator of the bias operator with the second observable.
-
-    Vanishes for calibration-true models; this is the identity that powers
-    the strengthened product/sum relations.
-    """
-    ev = _evolved(model, x0, y0, evolved)
-    ip = np.eye(model.probe_dim)
-    d = ev.mvo_x0 - tensor(x0.matrix, ip)
-    c = commutator(d, tensor(y0.matrix, ip))
-    return spectral_norm(probe_partial_expectation(c, model.probe_state))
-
-
-def conditional_resolution(
-    model: IndirectModel,
-    state: PureState,
-    x0: HermitianObservable,
-    readout: float,
-) -> tuple[float, float]:
-    """(eps_cond, sigma_cond) of the target observable given one readout.
-
-    eps_cond is the RMS gap to the assigned value m = value_map_xt(readout)
-    in the conditional post-measurement object state; sigma_cond is the plain
-    standard deviation there.  eps_cond^2 = sigma_cond^2 + (mean - m)^2.
-    """
-    rho, _prob = conditional_post_state(model, state, readout)
-    m = float(model.value_map_xt(float(readout)))
-    a = x0.matrix
-    mean = float(np.trace(rho.rho @ a).real)
-    sigma = stddev(rho, a)
-    eps = math.sqrt(sigma * sigma + (mean - m) ** 2)
-    return eps, sigma
-
-
-def conditional_pairs(
-    model: IndirectModel,
-    state: PureState,
-    x0: HermitianObservable,
-    *,
-    floor: float = 1e-12,
-) -> list[tuple[float, float, float, float]]:
-    """(readout, probability, eps_cond, sigma_cond) for readouts above the floor."""
-    out = []
-    for value, prob in readout_probabilities(model, state):
-        if prob > floor:
-            eps, sigma = conditional_resolution(model, state, x0, value)
-            out.append((value, prob, eps, sigma))
-    return out
+    x_avg = kh @ (x0.matrix @ k.reshape(o, p * o)).reshape(d, o)
+    return averaged(model.value_map_x0) - x0.matrix, averaged(model.value_map_xt) - x_avg
 
 
 @dataclass(frozen=True)
@@ -279,30 +125,171 @@ class MetricsReport:
     unbias_res_xt: float
 
 
+class Evaluation:
+    """All statistics of one (model, state, x0, y0) configuration.
+
+    The evolved input state is `amps` (object index by meter eigenvector
+    index); the report fields, commutator bounds and sigma(y_t) are computed
+    on construction.  Bias residuals and readouts are computed on request.
+    """
+
+    def __init__(
+        self, model: IndirectModel, state: PureState, x0: HermitianObservable, y0: HermitianObservable
+    ):
+        if state.dim != model.object_dim:
+            raise ValueError(f"object state dim {state.dim} != model object dim {model.object_dim}")
+        if x0.dim != model.object_dim or y0.dim != model.object_dim:
+            raise ValueError("observable dims do not match the model object dim")
+        self.model, self.x0 = model, x0
+        psi = state.amplitudes
+        x_psi, y_psi = x0.matrix @ psi, y0.matrix @ psi
+        amps, x_amps, y_amps = evolved_amplitudes(model, np.stack([psi, x_psi, y_psi]))
+        # U x_t (psi (x) xi) = (x0 (x) I) U (psi (x) xi), and likewise for y_t
+        x_t_amps, y_t_amps = x0.matrix @ amps, y0.matrix @ amps
+        mvo_amps = amps * meter_values(model, model.value_map_x0)  # U f(X_t) (psi (x) xi)
+        mvo_mean = float(np.vdot(amps, mvo_amps).real)
+        self.amps = amps
+        self.sigma_x0 = _spread(psi, x_psi)
+        self.sigma_y0 = _spread(psi, y_psi)
+        self.object_bound = float(abs(np.vdot(x_psi, y_psi).imag))  # 0.5 |<[x0, y0]>|
+        self.eps_x0 = _norm(mvo_amps - x_amps)
+        self.eps_xt = _norm(amps * meter_values(model, model.value_map_xt) - x_t_amps)
+        self.eta_y0 = _norm(y_t_amps - y_amps)
+        self.sigma_mvo = _norm(mvo_amps - mvo_mean * amps)
+        self.delta = mvo_mean - float(np.vdot(psi, x_psi).real)
+        self.eps_sys = abs(self.delta)
+        self.eps_rand = (
+            math.sqrt(max(self.eps_x0 * self.eps_x0 - self.eps_sys * self.eps_sys, 0.0))
+            if self.sigma_x0 <= EIGENSTATE_SIGMA_ATOL
+            else None
+        )
+        self.sigma_yt = _spread(amps, y_t_amps)
+        self.evolved_bound = float(abs(np.vdot(x_t_amps, y_t_amps).imag))  # 0.5 |<[x_t, y_t]>|
+
+    def report(self) -> MetricsReport:
+        res_x0, res_xt = (spectral_norm(b) for b in _bias_operators(self.model, self.x0))
+        return MetricsReport(
+            self.eps_x0, self.eps_xt, self.eta_y0, self.sigma_x0, self.sigma_y0, self.sigma_mvo,
+            self.delta, self.eps_sys, self.eps_rand, res_x0, res_xt,
+        )
+
+    @cached_property
+    def readouts(self) -> list[tuple[float, np.ndarray, float]]:
+        return readout_clusters(self.model, self.amps)
+
+    def outcome_probabilities(self) -> list[tuple[float, float]]:
+        return calibrated_outcomes(self.model, [(value, prob) for value, _, prob in self.readouts])
+
+    def _conditional(self, readout: float, coeffs: np.ndarray, prob: float) -> tuple[float, float]:
+        """(eps_cond, sigma_cond) in the conditional object state coeffs coeffs^dag / prob."""
+        if prob <= ZERO_PROB:
+            raise ValueError(f"readout {readout!r} has probability {prob!r}; conditioning undefined")
+        assigned = float(self.model.value_map_xt(float(readout)))
+        x_coeffs = self.x0.matrix @ coeffs
+        mean = np.vdot(coeffs, x_coeffs).real / prob
+        sigma = _norm(x_coeffs - mean * coeffs) / math.sqrt(prob)
+        return math.sqrt(sigma * sigma + (mean - assigned) ** 2), sigma
+
+    def conditional_resolution(self, readout: float) -> tuple[float, float]:
+        for value, coeffs, prob in self.readouts:
+            if abs(value - readout) <= READOUT_MERGE_GAP:
+                return self._conditional(readout, coeffs, prob)
+        raise ValueError(f"readout {readout!r} is not a meter eigenvalue")
+
+    def conditional_pairs(self, floor: float = 1e-12) -> list[tuple[float, float, float, float]]:
+        return [
+            (value, prob, *self._conditional(value, coeffs, prob))
+            for value, coeffs, prob in self.readouts
+            if prob > floor
+        ]
+
+
+def error_x0(model: IndirectModel, state: PureState, x0: HermitianObservable) -> float:
+    """RMS gap between assigned measurement values and the pre-interaction observable."""
+    return Evaluation(model, state, x0, x0).eps_x0
+
+
+def error_xt(model: IndirectModel, state: PureState, x0: HermitianObservable) -> float:
+    """RMS gap between assigned values and the post-interaction observable."""
+    return Evaluation(model, state, x0, x0).eps_xt
+
+
+def disturbance_y0(model: IndirectModel, state: PureState, y0: HermitianObservable) -> float:
+    """RMS change the interaction imposes on a second object observable."""
+    return Evaluation(model, state, y0, y0).eta_y0
+
+
+def mvo_stddev(model: IndirectModel, state: PureState, x0: HermitianObservable) -> float:
+    """Standard deviation of the assigned measurement values."""
+    return Evaluation(model, state, x0, x0).sigma_mvo
+
+
+def systematic_error(model: IndirectModel, state: PureState, x0: HermitianObservable) -> tuple[float, float]:
+    """(delta, |delta|): mean assigned value minus mean of the target observable."""
+    ev = Evaluation(model, state, x0, x0)
+    return ev.delta, ev.eps_sys
+
+
+def random_error(model: IndirectModel, state: PureState, x0: HermitianObservable) -> float:
+    """Statistical error component on an eigenstate of the target observable.
+
+    Defined only where sigma(x0) vanishes; there the total error splits into
+    a systematic mean offset and this residual spread:
+    eps_rand = sqrt(max(eps^2 - eps_sys^2, 0)).
+    """
+    ev = Evaluation(model, state, x0, x0)
+    if ev.eps_rand is None:
+        raise ValueError(f"random error undefined: sigma(x0) = {ev.sigma_x0!r} > {EIGENSTATE_SIGMA_ATOL}")
+    return ev.eps_rand
+
+
+def unbiasedness_residual_x0(model: IndirectModel, x0: HermitianObservable) -> float:
+    """Spectral norm of the probe-averaged bias operator for x0.
+
+    Zero iff assigned values are calibration-true for every object state.
+    """
+    return spectral_norm(_bias_operators(model, x0)[0])
+
+
+def unbiasedness_residual_xt(model: IndirectModel, x0: HermitianObservable) -> float:
+    """Spectral norm of the probe-averaged bias operator for the evolved observable."""
+    return spectral_norm(_bias_operators(model, x0)[1])
+
+
+def accuracy_commutator_residual(
+    model: IndirectModel, x0: HermitianObservable, y0: HermitianObservable
+) -> float:
+    """Probe-averaged commutator of the bias operator with the second observable.
+
+    Averaging over the probe commutes with y0 (x) I, so this is the norm of
+    [<xi| f(X_t) - x0 (x) I |xi>, y0].  It vanishes for calibration-true
+    models; this is the identity that powers the strengthened product/sum
+    relations.
+    """
+    b = _bias_operators(model, x0)[0]
+    return spectral_norm(b @ y0.matrix - y0.matrix @ b)
+
+
+def conditional_resolution(
+    model: IndirectModel, state: PureState, x0: HermitianObservable, readout: float
+) -> tuple[float, float]:
+    """(eps_cond, sigma_cond) of the target observable given one readout.
+
+    eps_cond is the RMS gap to the assigned value m = value_map_xt(readout)
+    in the conditional post-measurement object state; sigma_cond is the plain
+    standard deviation there.  eps_cond^2 = sigma_cond^2 + (mean - m)^2.
+    """
+    return Evaluation(model, state, x0, x0).conditional_resolution(readout)
+
+
+def conditional_pairs(
+    model: IndirectModel, state: PureState, x0: HermitianObservable, *, floor: float = 1e-12
+) -> list[tuple[float, float, float, float]]:
+    """(readout, probability, eps_cond, sigma_cond) for readouts above the floor."""
+    return Evaluation(model, state, x0, x0).conditional_pairs(floor)
+
+
 def full_report(
-    model: IndirectModel,
-    state: PureState,
-    x0: HermitianObservable,
-    y0: HermitianObservable,
-    *,
-    evolved: EvolvedOperators | None = None,
+    model: IndirectModel, state: PureState, x0: HermitianObservable, y0: HermitianObservable
 ) -> MetricsReport:
-    ev = _evolved(model, x0, y0, evolved)
-    delta, eps_sys = systematic_error(model, state, x0, evolved=ev)
-    sigma_x0 = stddev(state, x0)
-    eps_rand = (
-        random_error(model, state, x0, evolved=ev) if sigma_x0 <= EIGENSTATE_SIGMA_ATOL else None
-    )
-    return MetricsReport(
-        eps_x0=error_x0(model, state, x0, evolved=ev),
-        eps_xt=error_xt(model, state, x0, evolved=ev),
-        eta_y0=disturbance_y0(model, state, y0, evolved=ev),
-        sigma_x0=sigma_x0,
-        sigma_y0=stddev(state, y0),
-        sigma_mvo=mvo_stddev(model, state, x0, evolved=ev),
-        delta=delta,
-        eps_sys=eps_sys,
-        eps_rand=eps_rand,
-        unbias_res_x0=unbiasedness_residual_x0(model, x0, evolved=ev),
-        unbias_res_xt=unbiasedness_residual_xt(model, x0, evolved=ev),
-    )
+    return Evaluation(model, state, x0, y0).report()

@@ -19,7 +19,6 @@ from .linalg import (
     HermitianObservable,
     MixedState,
     PureState,
-    apply_spectral,
     as_complex_matrix,
     eigen_clusters,
     expectation,
@@ -33,12 +32,16 @@ __all__ = [
     "IndirectModel",
     "build_shift_model",
     "build_sigma_phi",
+    "calibrated_outcomes",
     "composite_input",
     "conditional_post_state",
     "evolve",
+    "evolved_amplitudes",
+    "meter_values",
     "named_qubit_state",
     "outcome_probabilities",
     "pauli_observable",
+    "readout_clusters",
     "readout_probabilities",
     "rescale_mvo",
     "sigma_phi_matrix",
@@ -154,21 +157,37 @@ def composite_input(model: IndirectModel, state: PureState) -> np.ndarray:
     return np.kron(state.amplitudes, model.probe_state.amplitudes)
 
 
+def meter_values(model: IndirectModel, f: Callable[[float], float]) -> np.ndarray:
+    """A value map applied to the meter eigenvalues, in the meter's eigenvector order."""
+    mapped = np.array([float(f(float(w))) for w in model.meter.eigenvalues], dtype=float)
+    if not np.all(np.isfinite(mapped)):
+        raise ValueError("spectral function produced a non-finite value")
+    return mapped
+
+
 def evolve(model: IndirectModel, x0: HermitianObservable, y0: HermitianObservable) -> EvolvedOperators:
-    """Conjugate the relevant operators by the interaction unitary."""
+    """Conjugate the relevant operators by the interaction unitary.
+
+    The value maps act on the probe meter's spectrum, since
+    f(U^dag (I (x) M) U) = U^dag (I (x) f(M)) U; no joint-space operator is
+    eigendecomposed.
+    """
     if x0.dim != model.object_dim or y0.dim != model.object_dim:
         raise ValueError("observable dims do not match the model object dim")
-    u = model.unitary
-    ud = u.conj().T
-    ip = np.eye(model.probe_dim)
-    io = np.eye(model.object_dim)
-    x_t = ud @ tensor(x0.matrix, ip) @ u
-    meter_t = ud @ tensor(io, model.meter.matrix) @ u
-    y_t = ud @ tensor(y0.matrix, ip) @ u
-    meter_obs = herm_eig(meter_t)
-    mvo_x0 = apply_spectral(model.value_map_x0, meter_obs).matrix
-    mvo_xt = apply_spectral(model.value_map_xt, meter_obs).matrix
-    return EvolvedOperators(x_t=x_t, X_t=meter_obs.matrix, y_t=y_t, mvo_x0=mvo_x0, mvo_xt=mvo_xt)
+    u, ud = model.unitary, model.unitary.conj().T
+    ip, io = np.eye(model.probe_dim), np.eye(model.object_dim)
+    v = model.meter.eigenvectors
+    mvo_x0, mvo_xt = (
+        ud @ tensor(io, (v * meter_values(model, f)) @ v.conj().T) @ u
+        for f in (model.value_map_x0, model.value_map_xt)
+    )
+    return EvolvedOperators(
+        x_t=ud @ tensor(x0.matrix, ip) @ u,
+        X_t=ud @ tensor(io, model.meter.matrix) @ u,
+        y_t=ud @ tensor(y0.matrix, ip) @ u,
+        mvo_x0=mvo_x0,
+        mvo_xt=mvo_xt,
+    )
 
 
 def build_sigma_phi(phi: float) -> IndirectModel:
@@ -265,38 +284,54 @@ def rescale_mvo(model: IndirectModel, f: Callable[[float], float]) -> IndirectMo
     return replace(model, value_map_x0=composed, value_map_xt=model.value_map_xt)
 
 
-def _meter_cluster_coeffs(model: IndirectModel, state: PureState):
-    """Evolved joint amplitudes resolved per meter eigenvalue cluster.
+def evolved_amplitudes(model: IndirectModel, vectors: np.ndarray) -> np.ndarray:
+    """U (v (x) xi) for each object vector v, in the meter eigenbasis.
 
-    Yields (readout value, coefficient matrix) where the coefficient matrix
-    holds <i| (x) <v_m| applied to the evolved state, object index by
+    vectors has shape (n, object_dim); entry [j, i, k] of the result is
+    (<i| (x) <v_k|) U (vectors[j] (x) xi), where v_k is the k-th meter
+    eigenvector.
+    """
+    n = vectors.shape[0]
+    joint = (vectors[:, :, None] * model.probe_state.amplitudes).reshape(n, model.dim)
+    evolved = (joint @ model.unitary.T).reshape(n, model.object_dim, model.probe_dim)
+    return evolved @ model.meter.eigenvectors.conj()
+
+
+def _evolved_state(model: IndirectModel, state: PureState) -> np.ndarray:
+    if state.dim != model.object_dim:
+        raise ValueError(f"object state dim {state.dim} != model object dim {model.object_dim}")
+    return evolved_amplitudes(model, state.amplitudes[None, :])[0]
+
+
+def readout_clusters(model: IndirectModel, amplitudes: np.ndarray) -> list[tuple[float, np.ndarray, float]]:
+    """(readout value, coefficients, Born probability) per meter eigenvalue cluster.
+
+    amplitudes is one evolved state laid out as by evolved_amplitudes; the
+    coefficients are its columns in the cluster, object index by
     cluster-internal index.
     """
-    psi_t = model.unitary @ composite_input(model, state)
-    amps = psi_t.reshape(model.object_dim, model.probe_dim)
-    for value, idx in eigen_clusters(model.meter.eigenvalues, READOUT_MERGE_GAP):
-        coeffs = amps @ model.meter.eigenvectors[:, idx].conj()
-        yield value, coeffs
+    return [
+        (value, amplitudes[:, idx], float(np.sum(np.abs(amplitudes[:, idx]) ** 2)))
+        for value, idx in eigen_clusters(model.meter.eigenvalues, READOUT_MERGE_GAP)
+    ]
 
 
 def readout_probabilities(model: IndirectModel, state: PureState) -> list[tuple[float, float]]:
     """Born probabilities of raw meter eigenvalues, ascending, zeros included."""
-    return [
-        (value, float(np.sum(np.abs(coeffs) ** 2)))
-        for value, coeffs in _meter_cluster_coeffs(model, state)
-    ]
+    return [(value, prob) for value, _, prob in readout_clusters(model, _evolved_state(model, state))]
 
 
-def outcome_probabilities(model: IndirectModel, state: PureState) -> list[tuple[float, float]]:
-    """Probabilities of calibrated measurement values.
+def calibrated_outcomes(
+    model: IndirectModel, readouts: list[tuple[float, float]]
+) -> list[tuple[float, float]]:
+    """Probabilities of calibrated measurement values from raw readout probabilities.
 
     Raw readouts are passed through value_map_x0; readouts mapping to the
     same value (within a small gap) are merged.  Sorted ascending by value.
     """
-    mapped: list[tuple[float, float]] = []
-    for value, prob in readout_probabilities(model, state):
-        mapped.append((float(model.value_map_x0(value)), prob))
-    mapped.sort(key=lambda vp: vp[0])
+    mapped = sorted(
+        ((float(model.value_map_x0(value)), prob) for value, prob in readouts), key=lambda vp: vp[0]
+    )
     merged: list[tuple[float, float]] = []
     for value, prob in mapped:
         if merged and value - merged[-1][0] <= READOUT_MERGE_GAP:
@@ -304,6 +339,11 @@ def outcome_probabilities(model: IndirectModel, state: PureState) -> list[tuple[
         else:
             merged.append((value, prob))
     return merged
+
+
+def outcome_probabilities(model: IndirectModel, state: PureState) -> list[tuple[float, float]]:
+    """Probabilities of calibrated measurement values; see calibrated_outcomes."""
+    return calibrated_outcomes(model, readout_probabilities(model, state))
 
 
 def conditional_post_state(
@@ -314,9 +354,8 @@ def conditional_post_state(
     Conditioning on an outcome of probability <= 1e-12 is undefined and
     rejected.
     """
-    for value, coeffs in _meter_cluster_coeffs(model, state):
+    for value, coeffs, prob in readout_clusters(model, _evolved_state(model, state)):
         if abs(value - readout) <= READOUT_MERGE_GAP:
-            prob = float(np.sum(np.abs(coeffs) ** 2))
             if prob <= ZERO_PROB:
                 raise ValueError(f"readout {readout!r} has probability {prob!r}; conditioning undefined")
             rho = coeffs @ coeffs.conj().T / prob

@@ -10,20 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .linalg import HermitianObservable, PureState, commutator, expectation
-from .metrics import (
-    conditional_pairs,
-    disturbance_y0,
-    error_x0,
-    error_xt,
-    mvo_stddev,
-    stddev,
-)
-from .model import EvolvedOperators, IndirectModel, composite_input, evolve
+from .linalg import HermitianObservable, PureState
+from .metrics import Evaluation
+from .model import EvolvedOperators, IndirectModel
 
-__all__ = ["RelationId", "RelationVerdict", "check", "check_all"]
+__all__ = ["RelationId", "RelationVerdict", "check", "check_all", "verdicts"]
 
 DEFAULT_TOL = 1e-9
+READOUT_FLOOR = 1e-12  # SQL_COND_E3 skips readouts at or below this probability
 
 
 class RelationId(str, Enum):
@@ -51,26 +45,33 @@ class RelationVerdict:
 
 
 def _verdict(relation_id: RelationId, lhs: float, rhs: float, tol: float) -> RelationVerdict:
-    lhs = float(lhs)
-    rhs = float(rhs)
-    slack = lhs - rhs
-    return RelationVerdict(
-        relation_id=relation_id.value,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        holds=slack >= -tol,
-        tol=tol,
-    )
+    lhs, rhs = float(lhs), float(rhs)
+    return RelationVerdict(relation_id.value, lhs, rhs, lhs - rhs, lhs - rhs >= -tol, tol)
 
 
-def _object_bound(state: PureState, x0: HermitianObservable, y0: HermitianObservable) -> float:
-    return 0.5 * abs(expectation(state, commutator(x0.matrix, y0.matrix)))
+def _worst_readout(ev: Evaluation, readout_floor: float) -> tuple[float, float]:
+    pairs = ev.conditional_pairs(readout_floor)
+    if not pairs:
+        raise ValueError("no readout above the probability floor")
+    _, _, eps, sigma = min(pairs, key=lambda p: p[2] - p[3])
+    return eps, sigma
 
 
-def _evolved_bound(model: IndirectModel, state: PureState, ev: EvolvedOperators) -> float:
-    psi = PureState(composite_input(model, state))
-    return 0.5 * abs(expectation(psi, commutator(ev.x_t, ev.y_t)))
+# (lhs, rhs) of every relation, read from one evaluation.
+_SIDES = {
+    RelationId.HEISENBERG_E1: lambda e, _: (e.eps_x0 * e.eta_y0, e.object_bound),
+    RelationId.OZAWA_E2: lambda e, _: (
+        e.eps_x0 * e.eta_y0 + e.eps_x0 * e.sigma_y0 + e.sigma_x0 * e.eta_y0,
+        e.object_bound,
+    ),
+    RelationId.SQL_COND_E3: _worst_readout,
+    RelationId.RESOLUTION_E4: lambda e, _: (e.eps_xt * e.eta_y0, e.evolved_bound),
+    RelationId.MVOSTD_E12: lambda e, _: (e.sigma_mvo * e.eta_y0, e.object_bound),
+    RelationId.SUM_E13: lambda e, _: ((e.eps_x0 + e.sigma_x0) * e.eta_y0, e.object_bound),
+    RelationId.SQL_E14: lambda e, _: (e.sigma_mvo, e.sigma_x0),
+    RelationId.MENSKY_E17: lambda e, _: (e.eps_xt * e.sigma_yt, e.evolved_bound),
+    RelationId.ROBERTSON: lambda e, _: (e.sigma_x0 * e.sigma_y0, e.object_bound),
+}
 
 
 def check(
@@ -82,62 +83,24 @@ def check(
     *,
     tol: float = DEFAULT_TOL,
     evolved: EvolvedOperators | None = None,
-    readout_floor: float = 1e-12,
+    readout_floor: float = READOUT_FLOOR,
 ) -> RelationVerdict:
     """Evaluate one relation on one configuration.
 
     SQL_COND_E3 is checked per readout (probability above readout_floor) and
     the verdict carries the worst readout; use metrics.conditional_pairs for
-    the full per-readout listing.
+    the full per-readout listing.  `evolved` is accepted for compatibility
+    and ignored: every side is read from the evolved state, not from
+    Heisenberg operators.
     """
     rid = RelationId(relation_id)
-    ev = evolved if evolved is not None else evolve(model, x0, y0)
+    lhs, rhs = _SIDES[rid](Evaluation(model, state, x0, y0), readout_floor)
+    return _verdict(rid, lhs, rhs, tol)
 
-    if rid is RelationId.HEISENBERG_E1:
-        lhs = error_x0(model, state, x0, evolved=ev) * disturbance_y0(model, state, y0, evolved=ev)
-        return _verdict(rid, lhs, _object_bound(state, x0, y0), tol)
 
-    if rid is RelationId.OZAWA_E2:
-        eps = error_x0(model, state, x0, evolved=ev)
-        eta = disturbance_y0(model, state, y0, evolved=ev)
-        lhs = eps * eta + eps * stddev(state, y0) + stddev(state, x0) * eta
-        return _verdict(rid, lhs, _object_bound(state, x0, y0), tol)
-
-    if rid is RelationId.SQL_COND_E3:
-        pairs = conditional_pairs(model, state, x0, floor=readout_floor)
-        if not pairs:
-            raise ValueError("no readout above the probability floor")
-        worst = min(pairs, key=lambda p: p[2] - p[3])
-        return _verdict(rid, worst[2], worst[3], tol)
-
-    if rid is RelationId.RESOLUTION_E4:
-        lhs = error_xt(model, state, x0, evolved=ev) * disturbance_y0(model, state, y0, evolved=ev)
-        return _verdict(rid, lhs, _evolved_bound(model, state, ev), tol)
-
-    if rid is RelationId.MVOSTD_E12:
-        lhs = mvo_stddev(model, state, x0, evolved=ev) * disturbance_y0(model, state, y0, evolved=ev)
-        return _verdict(rid, lhs, _object_bound(state, x0, y0), tol)
-
-    if rid is RelationId.SUM_E13:
-        eps = error_x0(model, state, x0, evolved=ev)
-        eta = disturbance_y0(model, state, y0, evolved=ev)
-        lhs = (eps + stddev(state, x0)) * eta
-        return _verdict(rid, lhs, _object_bound(state, x0, y0), tol)
-
-    if rid is RelationId.SQL_E14:
-        lhs = mvo_stddev(model, state, x0, evolved=ev)
-        return _verdict(rid, lhs, stddev(state, x0), tol)
-
-    if rid is RelationId.MENSKY_E17:
-        psi = PureState(composite_input(model, state))
-        lhs = error_xt(model, state, x0, evolved=ev) * stddev(psi, ev.y_t)
-        return _verdict(rid, lhs, _evolved_bound(model, state, ev), tol)
-
-    if rid is RelationId.ROBERTSON:
-        lhs = stddev(state, x0) * stddev(state, y0)
-        return _verdict(rid, lhs, _object_bound(state, x0, y0), tol)
-
-    raise ValueError(f"unhandled relation {rid!r}")  # pragma: no cover
+def verdicts(ev: Evaluation, *, tol: float = DEFAULT_TOL) -> list[RelationVerdict]:
+    """All relations of one evaluated configuration, in declaration order."""
+    return [_verdict(rid, *_SIDES[rid](ev, READOUT_FLOOR), tol) for rid in RelationId]
 
 
 def check_all(
@@ -147,8 +110,6 @@ def check_all(
     y0: HermitianObservable,
     *,
     tol: float = DEFAULT_TOL,
-    evolved: EvolvedOperators | None = None,
 ) -> list[RelationVerdict]:
-    """All relations in declaration order, sharing one evolved-operator set."""
-    ev = evolved if evolved is not None else evolve(model, x0, y0)
-    return [check(rid, model, state, x0, y0, tol=tol, evolved=ev) for rid in RelationId]
+    """All relations in declaration order, read from one evaluation."""
+    return verdicts(Evaluation(model, state, x0, y0), tol=tol)

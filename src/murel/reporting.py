@@ -12,13 +12,13 @@ import csv
 import io
 import json
 import math
+from dataclasses import asdict
 from typing import Any
 
 import numpy as np
 
-from .metrics import full_report
-from .model import outcome_probabilities
-from .relations import RelationId, check_all
+from .metrics import Evaluation
+from .relations import RelationId, verdicts
 from .scenario import BuiltConfiguration, build_configuration, make_scenario_doc, scenario_from_dict, vector_pairs
 
 __all__ = [
@@ -85,9 +85,9 @@ def configuration_row(
     extras: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """One report row: metrics, outcome statistics, and all relation verdicts."""
-    report = full_report(cfg.model, cfg.state, cfg.x0, cfg.y0)
-    verdicts = check_all(cfg.model, cfg.state, cfg.x0, cfg.y0, tol=cfg.tolerance)
-    pairs = outcome_probabilities(cfg.model, cfg.state)
+    ev = Evaluation(cfg.model, cfg.state, cfg.x0, cfg.y0)
+    report = ev.report()
+    pairs = ev.outcome_probabilities()
 
     row: dict[str, Any] = {k: None for k in COLUMNS}
     sc = cfg.scenario
@@ -107,21 +107,11 @@ def configuration_row(
         row["p_plus"] = float(plus)
         row["p_minus"] = float(minus)
 
-    row["eps_x0"] = report.eps_x0
-    row["eps_xt"] = report.eps_xt
-    row["eta_y0"] = report.eta_y0
-    row["sigma_x0"] = report.sigma_x0
-    row["sigma_y0"] = report.sigma_y0
-    row["sigma_mvo"] = report.sigma_mvo
-    row["delta"] = report.delta
-    row["eps_sys"] = report.eps_sys
-    row["eps_rand"] = report.eps_rand
-    row["unbias_res_x0"] = report.unbias_res_x0
-    row["unbias_res_xt"] = report.unbias_res_xt
+    row.update(asdict(report))  # the report fields are metric columns of the same names
     row["variance_identity_residual"] = (
         report.sigma_mvo**2 - report.sigma_x0**2 - report.eps_x0**2
     )
-    for v in verdicts:
+    for v in verdicts(ev, tol=cfg.tolerance):
         row[f"{v.relation_id}_lhs"] = v.lhs
         row[f"{v.relation_id}_rhs"] = v.rhs
         row[f"{v.relation_id}_slack"] = v.slack

@@ -94,7 +94,10 @@ def _check_keys(obj: dict, path: str, required: set[str], optional: set[str] = f
 def _number(obj: Any, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ScenarioError(f"expected a number, got {obj!r}", path)
-    v = float(obj)
+    try:
+        v = float(obj)
+    except OverflowError:
+        raise ScenarioError("integer beyond the float range", path) from None
     if not math.isfinite(v):
         raise ScenarioError(f"non-finite number {obj!r}", path)
     return v
@@ -292,6 +295,10 @@ def parse_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"syntax error at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ScenarioError("JSON nested too deeply") from None
+    except ValueError:  # an integer literal longer than int() accepts
+        raise ScenarioError("integer literal with too many digits") from None
     return scenario_from_dict(doc)
 
 
