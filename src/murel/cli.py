@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .relations import RelationId, check
-from .reporting import configuration_row, render_csv, render_json_lines, spin_reference_rows
+from .reporting import _cell, configuration_row, render_csv, render_json_lines, spin_reference_rows
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -32,19 +32,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SCENARIO = 2
 EXIT_INTERNAL = 3
-
-SEARCH_COLUMNS = (
-    "relation_id",
-    "family",
-    "budget",
-    "seed",
-    "evaluations",
-    "best_slack",
-    "violation",
-    "rng",
-    "witness_path",
-)
-
 
 class _UsageError(Exception):
     pass
@@ -129,6 +116,15 @@ def _emit_rows(rows, fmt: str) -> None:
         sys.stdout.write(render_csv(rows))
 
 
+def _emit_record(record: dict, fmt: str) -> None:
+    """One record as a JSON line, or as a CSV header of its keys and one row."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps(record, separators=(",", ":")) + "\n")
+    else:
+        sys.stdout.write(",".join(record) + "\n")
+        sys.stdout.write(",".join(_cell(v) for v in record.values()) + "\n")
+
+
 def cmd_metrics(args) -> int:
     cfg = build_configuration(_load_scenario(args.scenario_file))
     _emit_rows([configuration_row(cfg, section="metrics")], args.format)
@@ -184,19 +180,7 @@ def cmd_check(args) -> int:
         "holds": v.holds,
         "tol": v.tol,
     }
-    if args.format == "json":
-        sys.stdout.write(json.dumps(record, separators=(",", ":")) + "\n")
-    else:
-        sys.stdout.write("relation_id,lhs,rhs,slack,holds,tol\n")
-        cells = [
-            record["relation_id"],
-            repr(float(record["lhs"])),
-            repr(float(record["rhs"])),
-            repr(float(record["slack"])),
-            "true" if record["holds"] else "false",
-            repr(float(record["tol"])),
-        ]
-        sys.stdout.write(",".join(cells) + "\n")
+    _emit_record(record, args.format)
     return EXIT_OK
 
 
@@ -237,22 +221,7 @@ def cmd_search(args) -> int:
         "rng": result.rng_name,
         "witness_path": witness_path,
     }
-    if args.format == "json":
-        sys.stdout.write(json.dumps(record, separators=(",", ":")) + "\n")
-    else:
-        cells = [
-            record["relation_id"],
-            record["family"],
-            str(record["budget"]),
-            str(record["seed"]),
-            str(record["evaluations"]),
-            repr(float(record["best_slack"])),
-            "true" if violation else "false",
-            record["rng"],
-            witness_path,
-        ]
-        sys.stdout.write(",".join(SEARCH_COLUMNS) + "\n")
-        sys.stdout.write(",".join(cells) + "\n")
+    _emit_record(record, args.format)
     sys.stdout.write("violation found\n" if violation else "no violation\n")
     return EXIT_OK
 

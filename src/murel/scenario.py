@@ -43,6 +43,7 @@ from .model import (
     IndirectModel,
     build_shift_model,
     build_sigma_phi,
+    meter_values,
     named_qubit_state,
     pauli_observable,
     rescale_mvo,
@@ -54,6 +55,7 @@ __all__ = [
     "ScenarioError",
     "apply_value_map",
     "build_configuration",
+    "build_model",
     "make_scenario_doc",
     "matrix_pairs",
     "parse_scenario",
@@ -341,6 +343,63 @@ def apply_value_map(model: IndirectModel, spec: str) -> IndirectModel:
     raise ScenarioError(f"unknown value map {spec!r}", "scenario.value_map")  # pragma: no cover
 
 
+def build_model(family: str, params: dict, x0: HermitianObservable) -> IndirectModel:
+    """Realize a model family from its parameters (as in Scenario.model_params).
+
+    x0 is the object observable: its dimension must fit the family, and the
+    shift family reads it out.  Every rejection is a ScenarioError naming
+    the offending field.
+    """
+    if family == "sigma_phi":
+        if x0.dim != 2:
+            raise ScenarioError("sigma_phi is a qubit model; observables must be 2x2",
+                                "scenario.observables")
+        return build_sigma_phi(math.radians(params["phi_degrees"]))
+    probe_amps = params["probe_state"]
+    if family == "explicit":
+        object_dim = params["object_dim"]
+        if params["unitary"].shape[0] != object_dim * probe_amps.size:
+            raise ScenarioError(
+                f"unitary dim {params['unitary'].shape[0]} != object_dim * probe dim "
+                f"{object_dim * probe_amps.size}",
+                "scenario.model.unitary",
+            )
+        if params["meter"].shape[0] != probe_amps.size:
+            raise ScenarioError(
+                f"meter dim {params['meter'].shape[0]} != probe dim {probe_amps.size}",
+                "scenario.model.meter",
+            )
+    try:
+        probe = PureState(probe_amps)
+    except ValueError as e:
+        raise ScenarioError(str(e), "scenario.model.probe_state") from None
+    if family == "shift":
+        try:
+            return build_shift_model(x0, params["probe_dim"], probe)
+        except ValueError as e:
+            raise ScenarioError(str(e), "scenario.model") from None
+    # explicit
+    try:
+        meter = herm_eig(params["meter"])
+    except ValueError as e:
+        raise ScenarioError(str(e), "scenario.model.meter") from None
+    try:
+        model = IndirectModel(
+            object_dim=object_dim,
+            probe_dim=probe_amps.size,
+            unitary=params["unitary"],
+            probe_state=probe,
+            meter=meter,
+        )
+    except ValueError as e:
+        raise ScenarioError(str(e), "scenario.model") from None
+    if x0.dim != object_dim:
+        raise ScenarioError(
+            f"observable dim {x0.dim} != object_dim {object_dim}", "scenario.observables"
+        )
+    return model
+
+
 def build_configuration(sc: Scenario) -> BuiltConfiguration:
     """Realize a parsed scenario as model + state + observable pair."""
     x0 = _resolve_observable(sc.x0_spec, "scenario.observables.x0")
@@ -349,64 +408,14 @@ def build_configuration(sc: Scenario) -> BuiltConfiguration:
         raise ScenarioError(
             f"x0 dim {x0.dim} != y0 dim {y0.dim}", "scenario.observables"
         )
-    if sc.family == "sigma_phi":
-        if x0.dim != 2:
-            raise ScenarioError("sigma_phi is a qubit model; observables must be 2x2",
-                                "scenario.observables")
-        model = build_sigma_phi(math.radians(sc.model_params["phi_degrees"]))
-    elif sc.family == "shift":
-        try:
-            probe = PureState(sc.model_params["probe_state"])
-        except ValueError as e:
-            raise ScenarioError(str(e), "scenario.model.probe_state") from None
-        try:
-            model = build_shift_model(x0, sc.model_params["probe_dim"], probe)
-        except ValueError as e:
-            raise ScenarioError(str(e), "scenario.model") from None
-    else:  # explicit
-        p = sc.model_params
-        object_dim = p["object_dim"]
-        probe_amps = p["probe_state"]
-        if p["unitary"].shape[0] != object_dim * probe_amps.size:
-            raise ScenarioError(
-                f"unitary dim {p['unitary'].shape[0]} != object_dim * probe dim "
-                f"{object_dim * probe_amps.size}",
-                "scenario.model.unitary",
-            )
-        if p["meter"].shape[0] != probe_amps.size:
-            raise ScenarioError(
-                f"meter dim {p['meter'].shape[0]} != probe dim {probe_amps.size}",
-                "scenario.model.meter",
-            )
-        try:
-            probe = PureState(probe_amps)
-        except ValueError as e:
-            raise ScenarioError(str(e), "scenario.model.probe_state") from None
-        try:
-            meter = herm_eig(p["meter"])
-        except ValueError as e:
-            raise ScenarioError(str(e), "scenario.model.meter") from None
-        try:
-            model = IndirectModel(
-                object_dim=object_dim,
-                probe_dim=probe_amps.size,
-                unitary=p["unitary"],
-                probe_state=probe,
-                meter=meter,
-            )
-        except ValueError as e:
-            raise ScenarioError(str(e), "scenario.model") from None
-        if x0.dim != object_dim:
-            raise ScenarioError(
-                f"observable dim {x0.dim} != object_dim {object_dim}", "scenario.observables"
-            )
-    if x0.dim != model.object_dim:
-        raise ScenarioError(
-            f"observable dim {x0.dim} != model object dim {model.object_dim}",
-            "scenario.observables",
-        )
+    model = build_model(sc.family, sc.model_params, x0)
     state = _resolve_state(sc.state_spec, model.object_dim, "scenario.state")
     model = apply_value_map(model, sc.value_map_spec)
+    try:
+        for f in (model.value_map_x0, model.value_map_xt):
+            meter_values(model, f)
+    except ValueError as e:
+        raise ScenarioError(str(e), "scenario.value_map") from None
     return BuiltConfiguration(
         model=model, state=state, x0=x0, y0=y0,
         tolerance=sc.tolerance, seed=sc.seed, scenario=sc,

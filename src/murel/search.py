@@ -7,6 +7,13 @@ evaluation history, never on the budget, so a larger budget extends the same
 stream: best_slack is monotone non-increasing in the budget and a fixed
 (seed, budget) pair reproduces the result bit for bit.
 
+Each candidate is described as a scenario family, its model parameters and
+an object state (random_unitary describes itself as an explicit model with
+meter diag(0..p-1)).  The search evaluates the model that
+``scenario.build_model`` makes of that description and writes the witness
+document from it, so ``certify`` and ``murel check`` replay the very function
+the search evaluated, and the replayed slack is bit-identical.
+
 RNG policy: PCG64 behind numpy Generator.  Parallel workers must draw from
 disjoint substreams obtained via ``substream(seed, worker_index)`` (SeedSequence
 spawn keys); results record the generator name.
@@ -20,12 +27,14 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import HermitianObservable, PureState, herm_eig
-from .model import IndirectModel, build_shift_model, build_sigma_phi
+from .linalg import PureState, herm_eig
+from .model import IndirectModel
 from .relations import RelationId, RelationVerdict, check
 from .scenario import (
+    _resolve_observable,
     apply_value_map,
     build_configuration,
+    build_model,
     make_scenario_doc,
     scenario_from_dict,
 )
@@ -182,12 +191,13 @@ class _SpaceImpl:
         dx, dy = _default_pair(self.family, self.object_dim)
         self.x0_spec = dx if space.x0_spec is None else space.x0_spec
         self.y0_spec = dy if space.y0_spec is None else space.y0_spec
-        self.x0 = self._resolve(self.x0_spec)
-        self.y0 = self._resolve(self.y0_spec)
+        self.x0 = _resolve_observable(self.x0_spec, "SearchSpace.x0_spec")
+        self.y0 = _resolve_observable(self.y0_spec, "SearchSpace.y0_spec")
         if self.x0.dim != self.object_dim or self.y0.dim != self.object_dim:
             raise ValueError("observable dims do not match the search object dim")
 
         state_b = _state_bounds(self.object_dim)
+        self.n_probe_params = 0
         if self.family is Family.SIGMA_PHI:
             self.bounds = [(0.0, 360.0, True)] + state_b
         elif self.family is Family.SHIFT:
@@ -202,10 +212,10 @@ class _SpaceImpl:
                 )
             self.window = (lo, hi)
             if space.probe_state is not None:
-                self.fixed_probe = PureState(np.asarray(space.probe_state, dtype=complex))
-                build_shift_model(self.x0, self.probe_dim, self.fixed_probe)  # fail fast
+                self.fixed_probe = np.array(space.probe_state, dtype=complex)
+                build_model("shift", {"probe_dim": self.probe_dim, "probe_state": self.fixed_probe},
+                            self.x0)  # fail fast
                 self.bounds = list(state_b)
-                self.n_probe_params = 0
             else:
                 self.fixed_probe = None
                 w = hi - lo + 1
@@ -214,12 +224,6 @@ class _SpaceImpl:
         else:
             self.bounds = list(state_b)
         self.nparams = len(self.bounds)
-
-    @staticmethod
-    def _resolve(spec) -> HermitianObservable:
-        from .model import pauli_observable
-
-        return pauli_observable(spec) if isinstance(spec, str) else herm_eig(spec)
 
     def initial_steps(self) -> np.ndarray:
         return np.array([(hi - lo) / 4.0 for lo, hi, _ in self.bounds], dtype=float)
@@ -242,64 +246,35 @@ class _SpaceImpl:
         params[coord] = float(v)
         return _Candidate(tuple(params), cand.context)
 
-    def _probe_state(self, cand: _Candidate) -> PureState:
-        if self.fixed_probe is not None:
-            return self.fixed_probe
-        lo, hi = self.window
-        w = hi - lo + 1
-        window_state = state_from_angles(w, cand.params[: self.n_probe_params])
-        amps = np.zeros(self.probe_dim, dtype=complex)
-        amps[lo : hi + 1] = window_state.amplitudes
-        return PureState(amps)
-
-    def build(self, cand: _Candidate) -> tuple[IndirectModel, PureState]:
+    def describe(self, cand: _Candidate) -> tuple[str, dict, PureState]:
+        """The scenario family, its model_params and the object state of a candidate."""
         if self.family is Family.SIGMA_PHI:
-            model = build_sigma_phi(math.radians(cand.params[0]))
-            state = state_from_angles(2, cand.params[1:])
-        elif self.family is Family.SHIFT:
-            model = build_shift_model(self.x0, self.probe_dim, self._probe_state(cand))
-            state = state_from_angles(self.object_dim, cand.params[self.n_probe_params :])
-        else:
-            u, probe_amps = cand.context
-            meter = herm_eig(np.diag(np.arange(self.probe_dim, dtype=float)))
-            model = IndirectModel(
-                object_dim=self.object_dim,
-                probe_dim=self.probe_dim,
-                unitary=u,
-                probe_state=PureState(probe_amps),
-                meter=meter,
-            )
-            state = state_from_angles(self.object_dim, cand.params)
-        return apply_value_map(model, self.value_map_spec), state
+            return "sigma_phi", {"phi_degrees": cand.params[0]}, state_from_angles(2, cand.params[1:])
+        state = state_from_angles(self.object_dim, cand.params[self.n_probe_params :])
+        if self.family is Family.SHIFT:
+            probe_amps = self.fixed_probe
+            if probe_amps is None:
+                lo, hi = self.window
+                window_state = state_from_angles(hi - lo + 1, cand.params[: self.n_probe_params])
+                probe_amps = np.zeros(self.probe_dim, dtype=complex)
+                probe_amps[lo : hi + 1] = window_state.amplitudes
+            return "shift", {"probe_dim": self.probe_dim, "probe_state": probe_amps}, state
+        u, probe_amps = cand.context
+        params = {"object_dim": self.object_dim, "unitary": u, "probe_state": probe_amps,
+                  "meter": np.diag(np.arange(self.probe_dim, dtype=float))}
+        return "explicit", params, state
 
     def evaluate(self, cand: _Candidate, relation_id, tol: float) -> tuple[float, RelationVerdict]:
-        model, state = self.build(cand)
+        family, params, state = self.describe(cand)
+        model = apply_value_map(build_model(family, params, self.x0), self.value_map_spec)
         verdict = check(relation_id, model, state, self.x0, self.y0, tol=tol)
         return verdict.slack, verdict
 
     def scenario_doc(self, cand: _Candidate, tol: float, seed: int, label: str) -> dict:
-        _, state = self.build(cand)
-        if self.family is Family.SIGMA_PHI:
-            family = "sigma_phi"
-            model_params = {"phi_degrees": cand.params[0]}
-        elif self.family is Family.SHIFT:
-            family = "shift"
-            model_params = {
-                "probe_dim": self.probe_dim,
-                "probe_state": self._probe_state(cand).amplitudes,
-            }
-        else:
-            u, probe_amps = cand.context
-            family = "explicit"
-            model_params = {
-                "object_dim": self.object_dim,
-                "unitary": u,
-                "probe_state": probe_amps,
-                "meter": np.diag(np.arange(self.probe_dim, dtype=float)),
-            }
+        family, params, state = self.describe(cand)
         return make_scenario_doc(
             family=family,
-            model_params=model_params,
+            model_params=params,
             state_spec=state.amplitudes,
             x0_spec=self.x0_spec,
             y0_spec=self.y0_spec,

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from murel.cli import main
-from murel.scenario import ScenarioError, parse_scenario, scenario_from_dict
+from murel.scenario import ScenarioError, build_configuration, parse_scenario, scenario_from_dict
 
 BASE = {
     "schema_version": 1,
@@ -74,3 +74,41 @@ def test_cli_rejects_non_utf8_file_with_exit_2(capsys, tmp_path):
     assert out == ""
     assert "not UTF-8 text" in err
     assert err.count("\n") == 1
+
+
+# A shift model with its pointer at level 1 of 4: the readouts 0..3 centre
+# on -1..2, and scale:1e308 sends 2 past the float range.
+OVERFLOW_MAP = {
+    "schema_version": 1,
+    "model": {"family": "shift", "probe_dim": 4, "probe_state": [[0, 0], [1, 0], [0, 0], [0, 0]]},
+    "state": "+z",
+    "observables": {"x0": "sigma_z", "y0": "sigma_y"},
+    "value_map": "scale:1e308",
+}
+
+
+def test_value_map_past_the_float_range_is_a_scenario_error():
+    with pytest.raises(ScenarioError, match=r"^scenario\.value_map: .*non-finite"):
+        build_configuration(scenario_from_dict(OVERFLOW_MAP))
+
+
+@pytest.mark.parametrize("argv", [["metrics"], ["check", "--relation", "OZAWA_E2"]])
+def test_cli_rejects_value_map_past_the_float_range_with_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(OVERFLOW_MAP), encoding="utf-8")
+    code = main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("scenario error: scenario.value_map: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_search_with_value_map_past_the_float_range_is_a_usage_error(capsys):
+    argv = ["search", "--relation", "OZAWA_E2", "--family", "shift", "--budget", "3",
+            "--seed", "0", "--value-map", "scale:1e308"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
