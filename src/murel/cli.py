@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .relations import RelationId, check
-from .reporting import _cell, configuration_row, render_csv, render_json_lines, spin_reference_rows
+from .relations import DEFAULT_TOL, RelationId, check
+from .reporting import _cell, _json_value, configuration_row, render_csv, render_json_lines
+from .reporting import spin_reference_rows
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -78,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
     p.add_argument("--budget", required=True, type=int, help="number of evaluations")
     p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--tol", type=float, default=1e-9, help="slack tolerance (default 1e-9)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="slack tolerance (default %(default)g)")
     p.add_argument("--object-dim", type=int, default=2)
     p.add_argument("--probe-dim", type=int, default=None,
                    help="probe levels (default 4 for shift, 2 otherwise)")
@@ -117,12 +119,17 @@ def _emit_rows(rows, fmt: str) -> None:
 
 
 def _emit_record(record: dict, fmt: str) -> None:
-    """One record as a JSON line, or as a CSV header of its keys and one row."""
+    """One record as a JSON line, or as a CSV header of its keys and one row.
+
+    Values are written as in report rows: a non-finite float becomes "inf", "-inf" or "nan".
+    """
     if fmt == "json":
-        sys.stdout.write(json.dumps(record, separators=(",", ":")) + "\n")
+        values = {k: _json_value(v) for k, v in record.items()}
+        sys.stdout.write(json.dumps(values, separators=(",", ":")) + "\n")
     else:
-        sys.stdout.write(",".join(record) + "\n")
-        sys.stdout.write(",".join(_cell(v) for v in record.values()) + "\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(record)
+        writer.writerow(_cell(v) for v in record.values())
 
 
 def cmd_metrics(args) -> int:

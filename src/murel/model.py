@@ -10,6 +10,7 @@ calibration function f.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -57,34 +58,35 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
-_NAMED_OBSERVABLES = {
-    "sigma_x": PAULI_X,
-    "sigma_y": PAULI_Y,
-    "sigma_z": PAULI_Z,
-    "identity": ID2,
+# Named qubit observables and states, built once; the objects are immutable.
+NAMED_OBSERVABLES = {
+    "sigma_x": herm_eig(PAULI_X),
+    "sigma_y": herm_eig(PAULI_Y),
+    "sigma_z": herm_eig(PAULI_Z),
+    "identity": herm_eig(ID2),
 }
 
 _SQ2 = 1.0 / np.sqrt(2.0)
-_NAMED_QUBIT_STATES = {
-    "+x": np.array([_SQ2, _SQ2], dtype=complex),
-    "-x": np.array([_SQ2, -_SQ2], dtype=complex),
-    "+y": np.array([_SQ2, 1.0j * _SQ2], dtype=complex),
-    "-y": np.array([_SQ2, -1.0j * _SQ2], dtype=complex),
-    "+z": np.array([1.0, 0.0], dtype=complex),
-    "-z": np.array([0.0, 1.0], dtype=complex),
+NAMED_QUBIT_STATES = {
+    "+x": PureState(np.array([_SQ2, _SQ2], dtype=complex)),
+    "-x": PureState(np.array([_SQ2, -_SQ2], dtype=complex)),
+    "+y": PureState(np.array([_SQ2, 1.0j * _SQ2], dtype=complex)),
+    "-y": PureState(np.array([_SQ2, -1.0j * _SQ2], dtype=complex)),
+    "+z": PureState(np.array([1.0, 0.0], dtype=complex)),
+    "-z": PureState(np.array([0.0, 1.0], dtype=complex)),
 }
 
 
 def pauli_observable(name: str) -> HermitianObservable:
     try:
-        return herm_eig(_NAMED_OBSERVABLES[name])
+        return NAMED_OBSERVABLES[name]
     except KeyError:
         raise ValueError(f"unknown observable name {name!r}") from None
 
 
 def named_qubit_state(label: str) -> PureState:
     try:
-        return PureState(_NAMED_QUBIT_STATES[label])
+        return NAMED_QUBIT_STATES[label]
     except KeyError:
         raise ValueError(f"unknown state label {label!r}") from None
 
@@ -159,10 +161,10 @@ def composite_input(model: IndirectModel, state: PureState) -> np.ndarray:
 
 def meter_values(model: IndirectModel, f: Callable[[float], float]) -> np.ndarray:
     """A value map applied to the meter eigenvalues, in the meter's eigenvector order."""
-    mapped = np.array([float(f(float(w))) for w in model.meter.eigenvalues], dtype=float)
-    if not np.all(np.isfinite(mapped)):
+    mapped = [float(f(w)) for w in model.meter.eigenvalues.tolist()]
+    if not all(map(math.isfinite, mapped)):
         raise ValueError("spectral function produced a non-finite value")
-    return mapped
+    return np.array(mapped)
 
 
 def evolve(model: IndirectModel, x0: HermitianObservable, y0: HermitianObservable) -> EvolvedOperators:
@@ -207,8 +209,8 @@ def build_sigma_phi(phi: float) -> IndirectModel:
         object_dim=2,
         probe_dim=2,
         unitary=u,
-        probe_state=PureState(np.array([1.0, 0.0], dtype=complex)),
-        meter=herm_eig(PAULI_Z),
+        probe_state=NAMED_QUBIT_STATES["+z"],
+        meter=NAMED_OBSERVABLES["sigma_z"],
     )
 
 

@@ -94,8 +94,7 @@ def configuration_row(
     row["scenario_id"] = sc.scenario_id or ""
     row["section"] = section
     row["family"] = sc.family
-    if sc.family == "sigma_phi":
-        row["phi_degrees"] = float(sc.model_params["phi_degrees"])
+    row["phi_degrees"] = sc.model_params.get("phi_degrees")
     row["state"] = _state_label(sc.state_spec)
     row["param_name"] = param_name
     row["param_value"] = param_value

@@ -22,24 +22,32 @@ Model objects, by family:
     {"family": "explicit", "object_dim": <int>, "unitary": [[[re, im], ...], ...],
      "probe_state": [[re, im], ...], "meter": [[[re, im], ...], ...]}
 
-Observables are "sigma_x" / "sigma_y" / "sigma_z" / "identity" or an explicit
-Hermitian matrix.  Named states ("+x", "-x", "+y", "-y", "+z", "-z") are
-qubit-only.  The value map composes on top of the family's built-in
+Observables are a name from model.NAMED_OBSERVABLES or an explicit Hermitian
+matrix.  States are a name from model.NAMED_QUBIT_STATES, for qubit objects
+only, or an amplitude vector.  The value map composes on top of the family's built-in
 calibration (identity for sigma_phi/explicit, pointer-mean subtraction for
 shift): "scale:100" on a shift model recalibrates values to 100 * (raw - mean).
+
+Scale bound: every measurement value f(m_k) of both value maps and the
+spectral norms of x0 and y0 must be at most 1e150 in magnitude (VALUE_BOUND);
+larger ones are rejected at scenario.value_map or scenario.observables.x0/y0,
+so every statistic and verdict of a valid scenario is finite.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from .linalg import HermitianObservable, PureState, expectation, herm_eig
 from .model import (
+    NAMED_OBSERVABLES,
+    NAMED_QUBIT_STATES,
     IndirectModel,
     build_shift_model,
     build_sigma_phi,
@@ -48,6 +56,7 @@ from .model import (
     pauli_observable,
     rescale_mvo,
 )
+from .relations import DEFAULT_TOL
 
 __all__ = [
     "BuiltConfiguration",
@@ -65,9 +74,12 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-NAMED_OBSERVABLES = ("sigma_x", "sigma_y", "sigma_z", "identity")
-NAMED_STATES = ("+x", "-x", "+y", "-y", "+z", "-z")
 VALUE_MAP_NAMES = ("identity", "scale", "shift", "center_on_meter_mean")
+# Let S be the largest |f(m_k)| over both value maps and the spectral norms of
+# x0 and y0.  Every statistic is at most 2S and every verdict side is a sum of
+# at most three products of two statistics, so at most 12 S^2; S <= 1e150
+# keeps that below the float maximum 1.8e308.
+VALUE_BOUND = 1e150
 
 
 class ScenarioError(ValueError):
@@ -78,6 +90,17 @@ class ScenarioError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
+class _BriefRepr(reprlib.Repr):
+    """repr for error messages, cut short in nesting depth, length and digits."""
+
+    def repr_int(self, x, level):
+        # str() of an integer past 4300 digits raises
+        return repr(x) if x.bit_length() <= 128 else f"<{x.bit_length()}-bit integer>"
+
+
+_brief = _BriefRepr().repr
+
+
 def _require_dict(obj: Any, path: str) -> dict:
     if not isinstance(obj, dict):
         raise ScenarioError(f"expected an object, got {type(obj).__name__}", path)
@@ -85,9 +108,9 @@ def _require_dict(obj: Any, path: str) -> dict:
 
 
 def _check_keys(obj: dict, path: str, required: set[str], optional: set[str] = frozenset()):
-    unknown = sorted(set(obj) - required - optional)
+    unknown = sorted(map(_brief, set(obj) - required - optional))
     if unknown:
-        raise ScenarioError(f"unknown keys {unknown!r}", path)
+        raise ScenarioError(f"unknown keys [{', '.join(unknown)}]", path)
     missing = sorted(required - set(obj))
     if missing:
         raise ScenarioError(f"missing required keys {missing!r}", path)
@@ -95,7 +118,7 @@ def _check_keys(obj: dict, path: str, required: set[str], optional: set[str] = f
 
 def _number(obj: Any, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ScenarioError(f"expected a number, got {obj!r}", path)
+        raise ScenarioError(f"expected a number, got {_brief(obj)}", path)
     try:
         v = float(obj)
     except OverflowError:
@@ -107,13 +130,28 @@ def _number(obj: Any, path: str) -> float:
 
 def _integer(obj: Any, path: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ScenarioError(f"expected an integer, got {obj!r}", path)
+        raise ScenarioError(f"expected an integer, got {_brief(obj)}", path)
     return obj
+
+
+def _positive_integer(obj: Any, path: str) -> int:
+    n = _integer(obj, path)
+    if n < 1:
+        raise ScenarioError(f"{path.rpartition('.')[2]} must be positive", path)
+    return n
+
+
+def _tolerance(obj: Any, path: str) -> float:
+    """A slack tolerance: a finite number greater than 0."""
+    tol = _number(obj, path)
+    if tol <= 0:
+        raise ScenarioError("tolerance must be positive", path)
+    return tol
 
 
 def _complex_pair(obj: Any, path: str) -> complex:
     if not isinstance(obj, list) or len(obj) != 2:
-        raise ScenarioError(f"expected a [re, im] pair, got {obj!r}", path)
+        raise ScenarioError(f"expected a [re, im] pair, got {_brief(obj)}", path)
     return complex(_number(obj[0], f"{path}[0]"), _number(obj[1], f"{path}[1]"))
 
 
@@ -134,42 +172,90 @@ def _complex_matrix(obj: Any, path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _parse_state_spec(obj: Any, path: str) -> str | np.ndarray:
+def vector_pairs(amps: np.ndarray) -> list[list[float]]:
+    return [[float(a.real), float(a.imag)] for a in np.asarray(amps, dtype=complex)]
+
+
+def matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
+    return [vector_pairs(row) for row in np.asarray(m, dtype=complex)]
+
+
+# The model fields of each family in schema order: (read from JSON, write to JSON).
+_POSITIVE_INTEGER = (_positive_integer, int)
+_VECTOR = (_complex_vector, vector_pairs)
+_MATRIX = (_complex_matrix, matrix_pairs)
+_MODEL_FIELDS = {
+    "sigma_phi": {"phi_degrees": (_number, float)},
+    "shift": {"probe_dim": _POSITIVE_INTEGER, "probe_state": _VECTOR},
+    "explicit": {"object_dim": _POSITIVE_INTEGER, "unitary": _MATRIX,
+                 "probe_state": _VECTOR, "meter": _MATRIX},
+}
+
+
+def _model_fields(family: Any) -> dict:
+    fields = _MODEL_FIELDS.get(family) if isinstance(family, str) else None
+    if fields is None:
+        raise ScenarioError(
+            f"unknown family {_brief(family)} (known: {list(_MODEL_FIELDS)!r})",
+            "scenario.model.family",
+        )
+    return fields
+
+
+def _spec(obj: Any, path: str, kind: str, names: dict, read_array) -> str | np.ndarray:
+    """A state or observable spec: one of the names, or an array read by read_array."""
     if isinstance(obj, str):
-        if obj not in NAMED_STATES:
-            raise ScenarioError(f"unknown state name {obj!r} (known: {list(NAMED_STATES)!r})", path)
+        if obj not in names:
+            raise ScenarioError(f"unknown {kind} name {obj!r} (known: {list(names)!r})", path)
         return obj
-    return _complex_vector(obj, path)
+    return read_array(obj, path)
 
 
-def _parse_observable_spec(obj: Any, path: str) -> str | np.ndarray:
-    if isinstance(obj, str):
-        if obj not in NAMED_OBSERVABLES:
-            raise ScenarioError(
-                f"unknown observable name {obj!r} (known: {list(NAMED_OBSERVABLES)!r})", path
-            )
-        return obj
-    return _complex_matrix(obj, path)
+def _bounded(values: np.ndarray, what: str, path: str) -> None:
+    peak = float(abs(values).max())
+    if not peak <= VALUE_BOUND:
+        raise ScenarioError(f"{what} {peak!r} exceeds the bound {VALUE_BOUND!r}", path)
 
 
-def _parse_value_map_spec(obj: Any, path: str) -> str:
-    if not isinstance(obj, str):
-        raise ScenarioError(f"expected a value-map string, got {obj!r}", path)
-    head, _, arg = obj.partition(":")
+def _value_map(spec: Any, path: str) -> Callable[[IndirectModel], IndirectModel]:
+    """The recalibration a value-map spec names; any other spec is a ScenarioError at path.
+
+    The recalibrated model's measurement values, under both value maps,
+    must be finite and within VALUE_BOUND.
+    """
+    if not isinstance(spec, str):
+        raise ScenarioError(f"expected a value-map string, got {_brief(spec)}", path)
+    head, _, arg = spec.partition(":")
     if head not in VALUE_MAP_NAMES:
-        raise ScenarioError(f"unknown value map {obj!r} (known: {list(VALUE_MAP_NAMES)!r})", path)
+        raise ScenarioError(f"unknown value map {spec!r} (known: {list(VALUE_MAP_NAMES)!r})", path)
     if head in ("scale", "shift"):
         if not arg:
             raise ScenarioError(f"value map {head!r} needs a numeric argument, e.g. '{head}:2'", path)
         try:
             c = float(arg)
         except ValueError:
-            raise ScenarioError(f"bad numeric argument in value map {obj!r}", path) from None
+            raise ScenarioError(f"bad numeric argument in value map {spec!r}", path) from None
         if not math.isfinite(c):
-            raise ScenarioError(f"non-finite argument in value map {obj!r}", path)
+            raise ScenarioError(f"non-finite argument in value map {spec!r}", path)
     elif arg:
         raise ScenarioError(f"value map {head!r} takes no argument", path)
-    return obj
+
+    def recalibrate(model: IndirectModel) -> IndirectModel:
+        if head == "scale":
+            model = rescale_mvo(model, lambda v: c * v)
+        elif head == "shift":
+            model = rescale_mvo(model, lambda v: v + c)
+        elif head == "center_on_meter_mean":
+            mean = float(expectation(model.probe_state, model.meter.matrix).real)
+            model = rescale_mvo(model, lambda v: v - mean)
+        try:
+            values = [meter_values(model, g) for g in (model.value_map_x0, model.value_map_xt)]
+        except ValueError as e:
+            raise ScenarioError(str(e), path) from None
+        _bounded(np.concatenate(values), "measurement value", path)
+        return model
+
+    return recalibrate
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,58 +297,35 @@ def scenario_from_dict(doc: Any) -> Scenario:
     )
     version = _integer(top["schema_version"], "scenario.schema_version")
     if version != SCHEMA_VERSION:
-        raise ScenarioError(f"unsupported schema_version {version}", "scenario.schema_version")
+        raise ScenarioError(
+            f"unsupported schema_version {_brief(version)}", "scenario.schema_version"
+        )
     scenario_id = top.get("id")
     if scenario_id is not None and not isinstance(scenario_id, str):
-        raise ScenarioError(f"expected a string, got {scenario_id!r}", "scenario.id")
+        raise ScenarioError(f"expected a string, got {_brief(scenario_id)}", "scenario.id")
 
     mobj = _require_dict(top["model"], "scenario.model")
     family = mobj.get("family")
-    if family == "sigma_phi":
-        _check_keys(mobj, "scenario.model", required={"family", "phi_degrees"})
-        params = {"phi_degrees": _number(mobj["phi_degrees"], "scenario.model.phi_degrees")}
-    elif family == "shift":
-        _check_keys(mobj, "scenario.model", required={"family", "probe_dim", "probe_state"})
-        probe_dim = _integer(mobj["probe_dim"], "scenario.model.probe_dim")
-        if probe_dim < 1:
-            raise ScenarioError("probe_dim must be positive", "scenario.model.probe_dim")
-        probe = _complex_vector(mobj["probe_state"], "scenario.model.probe_state")
-        if probe.size != probe_dim:
-            raise ScenarioError(
-                f"probe_state length {probe.size} != probe_dim {probe_dim}",
-                "scenario.model.probe_state",
-            )
-        params = {"probe_dim": probe_dim, "probe_state": probe}
-    elif family == "explicit":
-        _check_keys(
-            mobj,
-            "scenario.model",
-            required={"family", "object_dim", "unitary", "probe_state", "meter"},
-        )
-        object_dim = _integer(mobj["object_dim"], "scenario.model.object_dim")
-        if object_dim < 1:
-            raise ScenarioError("object_dim must be positive", "scenario.model.object_dim")
-        params = {
-            "object_dim": object_dim,
-            "unitary": _complex_matrix(mobj["unitary"], "scenario.model.unitary"),
-            "probe_state": _complex_vector(mobj["probe_state"], "scenario.model.probe_state"),
-            "meter": _complex_matrix(mobj["meter"], "scenario.model.meter"),
-        }
-    else:
+    fields = _model_fields(family)
+    _check_keys(mobj, "scenario.model", required={"family", *fields})
+    params = {key: read(mobj[key], f"scenario.model.{key}") for key, (read, _) in fields.items()}
+    if family == "shift" and params["probe_state"].size != params["probe_dim"]:
         raise ScenarioError(
-            f"unknown family {family!r} (known: ['sigma_phi', 'shift', 'explicit'])",
-            "scenario.model.family",
+            f"probe_state length {params['probe_state'].size} != probe_dim "
+            f"{_brief(params['probe_dim'])}",
+            "scenario.model.probe_state",
         )
 
-    state_spec = _parse_state_spec(top["state"], "scenario.state")
+    state_spec = _spec(top["state"], "scenario.state", "state", NAMED_QUBIT_STATES, _complex_vector)
     oobj = _require_dict(top["observables"], "scenario.observables")
     _check_keys(oobj, "scenario.observables", required={"x0", "y0"})
-    x0_spec = _parse_observable_spec(oobj["x0"], "scenario.observables.x0")
-    y0_spec = _parse_observable_spec(oobj["y0"], "scenario.observables.y0")
-    value_map_spec = _parse_value_map_spec(top.get("value_map", "identity"), "scenario.value_map")
-    tolerance = _number(top.get("tolerance", 1e-9), "scenario.tolerance")
-    if tolerance <= 0:
-        raise ScenarioError("tolerance must be positive", "scenario.tolerance")
+    x0_spec, y0_spec = (
+        _spec(oobj[k], f"scenario.observables.{k}", "observable", NAMED_OBSERVABLES, _complex_matrix)
+        for k in ("x0", "y0")
+    )
+    value_map_spec = top.get("value_map", "identity")
+    _value_map(value_map_spec, "scenario.value_map")
+    tolerance = _tolerance(top.get("tolerance", DEFAULT_TOL), "scenario.tolerance")
     seed = _integer(top.get("seed", 0), "scenario.seed")
 
     document = make_scenario_doc(
@@ -308,9 +371,11 @@ def _resolve_observable(spec: str | np.ndarray, path: str) -> HermitianObservabl
     if isinstance(spec, str):
         return pauli_observable(spec)
     try:
-        return herm_eig(spec)
+        obs = herm_eig(spec)
     except ValueError as e:
         raise ScenarioError(str(e), path) from None
+    _bounded(obs.eigenvalues, "spectral norm", path)
+    return obs
 
 
 def _resolve_state(spec: str | np.ndarray, dim: int, path: str) -> PureState:
@@ -327,20 +392,12 @@ def _resolve_state(spec: str | np.ndarray, dim: int, path: str) -> PureState:
 
 
 def apply_value_map(model: IndirectModel, spec: str) -> IndirectModel:
-    """Compose a named value map on top of the model's current calibration."""
-    head, _, arg = spec.partition(":")
-    if head == "identity":
-        return model
-    if head == "scale":
-        c = float(arg)
-        return rescale_mvo(model, lambda v: c * v)
-    if head == "shift":
-        c = float(arg)
-        return rescale_mvo(model, lambda v: v + c)
-    if head == "center_on_meter_mean":
-        mean = float(expectation(model.probe_state, model.meter.matrix).real)
-        return rescale_mvo(model, lambda v: v - mean)
-    raise ScenarioError(f"unknown value map {spec!r}", "scenario.value_map")  # pragma: no cover
+    """Compose a named value map on top of the model's current calibration.
+
+    A malformed spec, or measurement values that are not finite or exceed
+    VALUE_BOUND, raise ScenarioError at scenario.value_map.
+    """
+    return _value_map(spec, "scenario.value_map")(model)
 
 
 def build_model(family: str, params: dict, x0: HermitianObservable) -> IndirectModel:
@@ -361,7 +418,7 @@ def build_model(family: str, params: dict, x0: HermitianObservable) -> IndirectM
         if params["unitary"].shape[0] != object_dim * probe_amps.size:
             raise ScenarioError(
                 f"unitary dim {params['unitary'].shape[0]} != object_dim * probe dim "
-                f"{object_dim * probe_amps.size}",
+                f"{_brief(object_dim * probe_amps.size)}",
                 "scenario.model.unitary",
             )
         if params["meter"].shape[0] != probe_amps.size:
@@ -411,23 +468,10 @@ def build_configuration(sc: Scenario) -> BuiltConfiguration:
     model = build_model(sc.family, sc.model_params, x0)
     state = _resolve_state(sc.state_spec, model.object_dim, "scenario.state")
     model = apply_value_map(model, sc.value_map_spec)
-    try:
-        for f in (model.value_map_x0, model.value_map_xt):
-            meter_values(model, f)
-    except ValueError as e:
-        raise ScenarioError(str(e), "scenario.value_map") from None
     return BuiltConfiguration(
         model=model, state=state, x0=x0, y0=y0,
         tolerance=sc.tolerance, seed=sc.seed, scenario=sc,
     )
-
-
-def vector_pairs(amps: np.ndarray) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in np.asarray(amps, dtype=complex)]
-
-
-def matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    return [vector_pairs(row) for row in np.asarray(m, dtype=complex)]
 
 
 def _spec_json(spec: str | np.ndarray, kind: str):
@@ -444,24 +488,13 @@ def make_scenario_doc(
     x0_spec: str | np.ndarray,
     y0_spec: str | np.ndarray,
     value_map_spec: str = "identity",
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOL,
     seed: int = 0,
     scenario_id: str | None = None,
 ) -> dict:
     """Assemble a normalized scenario document (JSON-ready dict)."""
-    model: dict[str, Any] = {"family": family}
-    if family == "sigma_phi":
-        model["phi_degrees"] = float(model_params["phi_degrees"])
-    elif family == "shift":
-        model["probe_dim"] = int(model_params["probe_dim"])
-        model["probe_state"] = _spec_json(model_params["probe_state"], "vector")
-    elif family == "explicit":
-        model["object_dim"] = int(model_params["object_dim"])
-        model["unitary"] = _spec_json(model_params["unitary"], "matrix")
-        model["probe_state"] = _spec_json(model_params["probe_state"], "vector")
-        model["meter"] = _spec_json(model_params["meter"], "matrix")
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    fields = _model_fields(family)
+    model = {"family": family, **{key: write(model_params[key]) for key, (_, write) in fields.items()}}
     doc: dict[str, Any] = {"schema_version": SCHEMA_VERSION}
     if scenario_id is not None:
         doc["id"] = scenario_id

@@ -29,10 +29,11 @@ import numpy as np
 
 from .linalg import PureState, herm_eig
 from .model import IndirectModel
-from .relations import RelationId, RelationVerdict, check
+from .relations import DEFAULT_TOL, RelationId, RelationVerdict, check
 from .scenario import (
     _resolve_observable,
-    apply_value_map,
+    _tolerance,
+    _value_map,
     build_configuration,
     build_model,
     make_scenario_doc,
@@ -182,6 +183,7 @@ class _SpaceImpl:
     def __init__(self, space: SearchSpace):
         self.family = Family(space.family)
         self.value_map_spec = space.value_map_spec
+        self.recalibrate = _value_map(space.value_map_spec, "SearchSpace.value_map_spec")
         if self.family is Family.SIGMA_PHI:
             self.object_dim = 2
             self.probe_dim = 2
@@ -266,7 +268,7 @@ class _SpaceImpl:
 
     def evaluate(self, cand: _Candidate, relation_id, tol: float) -> tuple[float, RelationVerdict]:
         family, params, state = self.describe(cand)
-        model = apply_value_map(build_model(family, params, self.x0), self.value_map_spec)
+        model = self.recalibrate(build_model(family, params, self.x0))
         verdict = check(relation_id, model, state, self.x0, self.y0, tol=tol)
         return verdict.slack, verdict
 
@@ -298,7 +300,7 @@ class SearchResult:
     witness_doc: dict | None
     rng_name: str = RNG_NAME
 
-    def violation_found(self, tol: float = 1e-9) -> bool:
+    def violation_found(self, tol: float = DEFAULT_TOL) -> bool:
         return self.witness_doc is not None and self.best_slack < -tol
 
 
@@ -308,16 +310,20 @@ def search_min_slack(
     budget: int,
     seed: int,
     *,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> SearchResult:
     """Minimize relation slack over a configuration family.
 
-    budget counts configuration evaluations; budget 0 returns an empty
-    result.  Deterministic in (space, relation, budget, seed).
+    budget counts configuration evaluations; budget 0 returns a result
+    without a witness.  Deterministic in (space, relation, budget, seed).
+    The space's value map and tol are validated before the first
+    evaluation; a candidate whose measurement values leave the scenario
+    bound raises ScenarioError, so every evaluated slack is finite.
     """
     rid = RelationId(relation_id)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    tol = _tolerance(tol, "tol")
     impl = _SpaceImpl(space)
     rng = root_generator(seed)
 
@@ -342,6 +348,8 @@ def search_min_slack(
         else:
             cand = impl.random(rng)
         slack, verdict = impl.evaluate(cand, rid, tol)
+        if not math.isfinite(slack):
+            raise ArithmeticError(f"non-finite slack {slack!r} at evaluation {t}")
         if slack < best_slack:
             best_slack, best_cand, best_verdict = slack, cand, verdict
             steps = impl.initial_steps()
@@ -353,18 +361,7 @@ def search_min_slack(
                 steps = steps / 2.0
                 stale = 0
 
-    if best_cand is None:
-        return SearchResult(
-            relation_id=rid.value,
-            family=impl.family.value,
-            budget=int(budget),
-            seed=int(seed),
-            evaluations=0,
-            best_slack=math.inf,
-            verdict=None,
-            witness_params=None,
-            witness_doc=None,
-        )
+    found = best_cand is not None
     label = f"witness-{rid.value}-{impl.family.value}-seed{int(seed)}"
     return SearchResult(
         relation_id=rid.value,
@@ -374,8 +371,8 @@ def search_min_slack(
         evaluations=int(budget),
         best_slack=float(best_slack),
         verdict=best_verdict,
-        witness_params=best_cand.params,
-        witness_doc=impl.scenario_doc(best_cand, tol, int(seed), label),
+        witness_params=best_cand.params if found else None,
+        witness_doc=impl.scenario_doc(best_cand, tol, int(seed), label) if found else None,
     )
 
 

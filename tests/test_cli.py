@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -254,3 +256,27 @@ class TestParserBehaviour:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("murel ")
+
+
+class TestRecordOutput:
+    def test_witness_path_with_a_comma_stays_one_csv_cell(self, capsys, tmp_path):
+        witness = tmp_path / "a,b.json"
+        code, out, _ = run_cli(capsys, "search", "--relation", "OZAWA_E2", "--family", "sigma_phi",
+                               "--budget", "3", "--seed", "0", "--witness-out", str(witness))
+        assert code == 0
+        header, row, verdict = csv.reader(io.StringIO(out))
+        assert len(row) == len(header) == 9
+        assert row[header.index("witness_path")] == str(witness)
+        assert verdict == ["no violation"]
+
+    def test_zero_budget_json_record_is_strict_json(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "--relation", "OZAWA_E2", "--family", "sigma_phi",
+                               "--budget", "0", "--seed", "0", "--format", "json")
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        record = json.loads(out.splitlines()[0], parse_constant=reject)
+        assert record["best_slack"] == "inf"
+        assert record["evaluations"] == 0

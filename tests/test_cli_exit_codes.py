@@ -1,0 +1,87 @@
+"""The CLI exit-code contract: 0 success, 1 usage error, 2 invalid scenario.
+
+Every failing run leaves stdout empty and writes exactly one line to
+stderr.  Search flags are validated before the first evaluation.
+"""
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from murel.cli import main
+from murel.search import _SpaceImpl
+
+SCENARIO = {
+    "schema_version": 1,
+    "model": {"family": "sigma_phi", "phi_degrees": 30.0},
+    "state": "+x",
+    "observables": {"x0": "sigma_x", "y0": "sigma_y"},
+}
+SHIFT_SCALE_1E200 = {
+    "schema_version": 1,
+    "model": {"family": "shift", "probe_dim": 4, "probe_state": [[0, 0], [1, 0], [0, 0], [0, 0]]},
+    "state": "+x",
+    "observables": {"x0": "sigma_z", "y0": "sigma_y"},
+    "value_map": "scale:1e200",
+}
+X0_1E200 = {**SCENARIO, "observables": {"x0": [[[1e200, 0], [0, 0]], [[0, 0], [-1e200, 0]]], "y0": "sigma_y"}}
+
+
+def _text(doc: dict) -> bytes:
+    return json.dumps(doc).encode("utf-8")
+
+
+SEARCH = ["search", "--relation", "OZAWA_E2", "--family", "shift", "--seed", "0"]
+
+# (id, scenario file bytes or None, argv with FILE for its path, exit code)
+CASES = [
+    ("metrics", _text(SCENARIO), ["metrics", "FILE"], 0),
+    ("search-budget-0", None, [*SEARCH, "--budget", "0"], 0),
+    ("missing-file", None, ["metrics", "FILE"], 1),
+    ("non-utf8-file", _text(SCENARIO).replace(b'"+x"', '"é"'.encode("latin-1")), ["metrics", "FILE"], 2),
+    ("bad-json", b'{"schema_version": 1,', ["metrics", "FILE"], 2),
+    ("unknown-family", _text({**SCENARIO, "model": {"family": "teleport"}}), ["metrics", "FILE"], 2),
+    ("value-map-overflow", _text(SHIFT_SCALE_1E200), ["metrics", "FILE"], 2),
+    ("observable-overflow", _text(X0_1E200), ["check", "FILE", "--relation", "OZAWA_E2"], 2),
+    ("value-map-identity:3", None, [*SEARCH, "--budget", "30", "--value-map", "identity:3"], 1),
+    ("value-map-center:1", None, [*SEARCH, "--budget", "30", "--value-map", "center_on_meter_mean:1"], 1),
+    ("value-map-scale:abc", None, [*SEARCH, "--budget", "30", "--value-map", "scale:abc"], 1),
+    ("tol-negative", None, [*SEARCH, "--budget", "30", "--tol", "-1"], 1),
+    ("tol-zero", None, [*SEARCH, "--budget", "30", "--tol", "0"], 1),
+    ("tol-nan", None, [*SEARCH, "--budget", "30", "--tol", "nan"], 1),
+    ("budget-negative", None, [*SEARCH, "--budget", "-1"], 1),
+    ("sweep-grid-nan", _text(SCENARIO), ["sweep", "FILE", "--param", "phi_degrees", "--grid", "nan"], 2),
+]
+
+
+def _no_evaluation(*args, **kwargs):
+    raise AssertionError("the search evaluated a candidate")
+
+
+@pytest.mark.parametrize("content,argv,expected", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_exit_code_contract(capsys, tmp_path, monkeypatch, content, argv, expected):
+    monkeypatch.setattr(_SpaceImpl, "evaluate", _no_evaluation)
+    path = tmp_path / "scenario.json"
+    if content is not None:
+        path.write_bytes(content)
+    code = main([str(path) if a == "FILE" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    assert code == expected
+    if code == 0:
+        assert captured.out != "" and captured.err == ""
+    else:
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        prefix = "usage error: " if code == 1 else "scenario error: "
+        assert captured.err.startswith(prefix)
+
+
+def test_search_value_map_overflow_exits_1_on_the_first_candidate(capsys):
+    code = main([*SEARCH, "--budget", "30", "--value-map", "scale:1e200"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: SearchSpace.value_map_spec: measurement value ")
+    assert captured.err.count("\n") == 1

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from murel.cli import main
+from murel.relations import check
 from murel.scenario import ScenarioError, build_configuration, parse_scenario, scenario_from_dict
 
 BASE = {
@@ -112,3 +114,54 @@ def test_search_with_value_map_past_the_float_range_is_a_usage_error(capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("usage error: ")
+
+
+# Trees built in Python, which no JSON file can produce: the error message
+# must not format the offending value in full.
+def test_list_nested_100k_deep_under_state_is_a_scenario_error():
+    nested: list = []
+    for _ in range(100_000):
+        nested = [nested]
+    doc = json.loads(json.dumps(BASE))
+    doc["state"] = nested
+    with pytest.raises(ScenarioError, match=r"^scenario\.state\[0\]: expected a \[re, im\] pair"):
+        scenario_from_dict(doc)
+
+
+def test_schema_version_of_5000_digits_is_a_scenario_error():
+    doc = json.loads(json.dumps(BASE))
+    doc["schema_version"] = 10**5000
+    with pytest.raises(ScenarioError, match=r"^scenario\.schema_version: unsupported schema_version"):
+        scenario_from_dict(doc)
+
+
+def test_family_that_is_not_a_string_is_a_scenario_error():
+    doc = json.loads(json.dumps(BASE))
+    doc["model"]["family"] = []
+    with pytest.raises(ScenarioError, match=r"^scenario\.model\.family: unknown family \[\]"):
+        scenario_from_dict(doc)
+
+
+# Values a float holds but whose statistics overflow: the shift readouts
+# centre on -1..2, so scale:1e200 reaches 2e200, and x0 = diag(1e200, -1e200)
+# has spectral norm 1e200.  Both exceed the scale bound of 1e150.
+STATISTICS_OVERFLOW = {
+    "value-map": ({**OVERFLOW_MAP, "state": "+x", "value_map": "scale:1e200"}, "value_map"),
+    "observable": (
+        {**BASE, "observables": {"x0": [[[1e200, 0], [0, 0]], [[0, 0], [-1e200, 0]]], "y0": "sigma_y"}},
+        "observables.x0",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc,path", STATISTICS_OVERFLOW.values(), ids=STATISTICS_OVERFLOW)
+def test_statistics_past_the_float_range_are_a_scenario_error(doc, path):
+    with pytest.raises(ScenarioError, match=rf"^scenario\.{path}: .* exceeds the bound 1e\+150"):
+        build_configuration(scenario_from_dict(doc))
+
+
+def test_values_at_the_scale_bound_are_accepted():
+    doc = {**BASE, "state": "+y", "value_map": "scale:1e150"}
+    cfg = build_configuration(scenario_from_dict(doc))
+    v = check("OZAWA_E2", cfg.model, cfg.state, cfg.x0, cfg.y0)
+    assert math.isfinite(v.lhs) and v.holds

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_pure, random_state_vector
+import murel.model as model_module
 from murel.linalg import PureState, expectation, herm_eig, max_abs, tensor
 from murel.model import (
     ID2,
@@ -290,3 +291,16 @@ def test_readout_probabilities_form_a_distribution(seed, phi):
     pairs = readout_probabilities(m, psi)
     assert [v for v, _ in pairs] == [-1.0, 1.0]
     assert sum(p for _, p in pairs) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_named_objects_and_sigma_phi_are_built_once(monkeypatch):
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("built again")
+
+    monkeypatch.setattr(model_module, "herm_eig", rebuilt)
+    monkeypatch.setattr(model_module, "PureState", rebuilt)
+    m = build_sigma_phi(0.3)
+    assert m.meter is pauli_observable("sigma_z")
+    assert m.probe_state is named_qubit_state("+z")
+    assert pauli_observable("sigma_y") is pauli_observable("sigma_y")
+    assert named_qubit_state("-y") is named_qubit_state("-y")

@@ -21,6 +21,7 @@ from murel.search import (
     search_min_slack,
     state_from_angles,
     substream,
+    _SpaceImpl,
 )
 
 
@@ -221,3 +222,41 @@ class TestCertification:
         assert isinstance(cfg.state, PureState)
         assert res.witness_doc["seed"] == res.seed
         assert res.witness_doc["tolerance"] == 1e-9
+
+
+class TestEntryValidation:
+    """Bad search flags are rejected before the first evaluation."""
+
+    @pytest.fixture(autouse=True)
+    def _no_evaluation(self, monkeypatch):
+        def evaluate(*args, **kwargs):
+            raise AssertionError("the search evaluated a candidate")
+
+        monkeypatch.setattr(_SpaceImpl, "evaluate", evaluate)
+
+    @pytest.mark.parametrize("spec", ["identity:3", "center_on_meter_mean:1", "scale:abc",
+                                      "scale:nan", "scale", "bogus"])
+    def test_bad_value_map(self, spec):
+        space = SearchSpace(family=Family.SHIFT, value_map_spec=spec)
+        with pytest.raises(ValueError, match=r"^SearchSpace\.value_map_spec: "):
+            search_min_slack(RelationId.OZAWA_E2, space, 30, seed=0)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf, True, "1e-9"])
+    def test_bad_tolerance(self, tol):
+        space = SearchSpace(family=Family.SHIFT)
+        with pytest.raises(ValueError, match=r"^tol: "):
+            search_min_slack(RelationId.OZAWA_E2, space, 30, seed=0, tol=tol)
+
+
+class TestOneResultPath:
+    @pytest.mark.parametrize("budget", [0, 1, 9])
+    def test_evaluations_equal_the_budget(self, budget):
+        res = search_min_slack(RelationId.SQL_E14, SearchSpace(family=Family.SHIFT), budget, seed=2)
+        assert res.evaluations == budget
+        assert (res.witness_doc is None) == (budget == 0)
+        assert (res.best_slack == math.inf) == (budget == 0)
+
+    def test_non_finite_slack_raises(self, monkeypatch):
+        monkeypatch.setattr(_SpaceImpl, "evaluate", lambda self, cand, rid, tol: (math.nan, None))
+        with pytest.raises(ArithmeticError, match="non-finite slack nan at evaluation 0"):
+            search_min_slack(RelationId.OZAWA_E2, SearchSpace(family=Family.SIGMA_PHI), 5, seed=0)
