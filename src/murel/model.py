@@ -10,8 +10,10 @@ calibration function f.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -214,6 +216,15 @@ def build_sigma_phi(phi: float) -> IndirectModel:
     )
 
 
+@functools.lru_cache(maxsize=32)
+def _graded_meter(probe_dim: int) -> HermitianObservable:
+    """The integer-graded meter diag(0..probe_dim-1), eigendecomposed once per dimension.
+
+    Models share the returned observable, which is immutable.
+    """
+    return herm_eig(np.diag(np.arange(probe_dim, dtype=float)))
+
+
 def build_shift_model(
     x0: HermitianObservable,
     probe_dim: int,
@@ -257,7 +268,7 @@ def build_shift_model(
         vecs = x0.eigenvectors[:, idx]
         proj = vecs @ vecs.conj().T
         u += tensor(proj, np.linalg.matrix_power(step, int(round(value)) % probe_dim))
-    meter = herm_eig(np.diag(np.arange(probe_dim, dtype=float)))
+    meter = _graded_meter(probe_dim)
     pointer_mean = float(expectation(probe_state, meter.matrix).real)
 
     def centered(v: float, _mu: float = pointer_mean) -> float:
@@ -276,14 +287,18 @@ def build_shift_model(
 def rescale_mvo(model: IndirectModel, f: Callable[[float], float]) -> IndirectModel:
     """Recalibrate measurement values: value_map_x0 becomes f o value_map_x0.
 
-    Everything else, including value_map_xt, is left untouched.
+    Everything else, including value_map_xt, is left untouched.  The value
+    maps are not part of the validated state, so the recalibrated model is a
+    shallow copy that shares the parent's validated arrays.
     """
     old = model.value_map_x0
 
     def composed(v: float) -> float:
         return float(f(old(v)))
 
-    return replace(model, value_map_x0=composed, value_map_xt=model.value_map_xt)
+    rescaled = copy.copy(model)
+    object.__setattr__(rescaled, "value_map_x0", composed)
+    return rescaled
 
 
 def evolved_amplitudes(model: IndirectModel, vectors: np.ndarray) -> np.ndarray:

@@ -12,7 +12,10 @@ an object state (random_unitary describes itself as an explicit model with
 meter diag(0..p-1)).  The search evaluates the model that
 ``scenario.build_model`` makes of that description and writes the witness
 document from it, so ``certify`` and ``murel check`` replay the very function
-the search evaluated, and the replayed slack is bit-identical.
+the search evaluated, and the replayed slack is bit-identical.  Each built
+model travels with its candidate: a refine step that moves only object-state
+coordinates reuses its parent's model, which is the very ``build_model``
+result a rebuild would give, so reuse changes neither the stream nor replay.
 
 RNG policy: PCG64 behind numpy Generator.  Parallel workers must draw from
 disjoint substreams obtained via ``substream(seed, worker_index)`` (SeedSequence
@@ -27,8 +30,8 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import PureState, herm_eig
-from .model import IndirectModel
+from .linalg import PureState
+from .model import IndirectModel, _graded_meter
 from .relations import DEFAULT_TOL, RelationId, RelationVerdict, check
 from .scenario import (
     _resolve_observable,
@@ -99,17 +102,23 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * ph
 
 
-def random_model(object_dim: int, probe_dim: int, rng: np.random.Generator) -> IndirectModel:
-    """Haar-random interaction with a Haar-random probe and an integer-graded meter."""
+def _random_interaction(
+    object_dim: int, probe_dim: int, rng: np.random.Generator
+) -> tuple[np.ndarray, PureState]:
+    """Haar-random interaction unitary, then a Haar-random probe state."""
     if object_dim < 2 or probe_dim < 2:
         raise ValueError("random models need object and probe dims >= 2")
     if object_dim * probe_dim > MAX_RANDOM_MODEL_DIM:
         raise ValueError(f"product dimension {object_dim * probe_dim} exceeds {MAX_RANDOM_MODEL_DIM}")
-    u = haar_unitary(object_dim * probe_dim, rng)
-    probe = random_pure_state(probe_dim, rng)
-    meter = herm_eig(np.diag(np.arange(probe_dim, dtype=float)))
+    return haar_unitary(object_dim * probe_dim, rng), random_pure_state(probe_dim, rng)
+
+
+def random_model(object_dim: int, probe_dim: int, rng: np.random.Generator) -> IndirectModel:
+    """Haar-random interaction with a Haar-random probe and an integer-graded meter."""
+    u, probe = _random_interaction(object_dim, probe_dim, rng)
     return IndirectModel(
-        object_dim=object_dim, probe_dim=probe_dim, unitary=u, probe_state=probe, meter=meter
+        object_dim=object_dim, probe_dim=probe_dim, unitary=u, probe_state=probe,
+        meter=_graded_meter(probe_dim),
     )
 
 
@@ -159,10 +168,11 @@ class SearchSpace:
     probe_state: np.ndarray | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _Candidate:
     params: tuple[float, ...]
     context: tuple | None = None  # random_unitary: (unitary, probe amplitudes)
+    model: IndirectModel | None = None  # the recalibrated built model, set on first evaluation
 
 
 def _default_pair(family: Family, dim: int) -> tuple:
@@ -199,9 +209,10 @@ class _SpaceImpl:
             raise ValueError("observable dims do not match the search object dim")
 
         state_b = _state_bounds(self.object_dim)
-        self.n_probe_params = 0
+        self.n_model_params = 0  # leading coordinates that change the model, not the state
         if self.family is Family.SIGMA_PHI:
             self.bounds = [(0.0, 360.0, True)] + state_b
+            self.n_model_params = 1
         elif self.family is Family.SHIFT:
             eigs = np.round(self.x0.eigenvalues).astype(int)
             if np.max(np.abs(self.x0.eigenvalues - eigs)) > 1e-9:
@@ -221,7 +232,7 @@ class _SpaceImpl:
             else:
                 self.fixed_probe = None
                 w = hi - lo + 1
-                self.n_probe_params = 2 * w - 2
+                self.n_model_params = 2 * w - 2
                 self.bounds = _state_bounds(w) + state_b
         else:
             self.bounds = list(state_b)
@@ -233,8 +244,8 @@ class _SpaceImpl:
     def random(self, rng: np.random.Generator) -> _Candidate:
         params = tuple(float(rng.uniform(lo, hi)) for lo, hi, _ in self.bounds)
         if self.family is Family.RANDOM_UNITARY:
-            model = random_model(self.object_dim, self.probe_dim, rng)
-            return _Candidate(params, (model.unitary, model.probe_state.amplitudes))
+            u, probe = _random_interaction(self.object_dim, self.probe_dim, rng)
+            return _Candidate(params, (u, probe.amplitudes))
         return _Candidate(params)
 
     def perturb(self, cand: _Candidate, coord: int, step: float, sign: float) -> _Candidate:
@@ -246,18 +257,19 @@ class _SpaceImpl:
             v = min(max(v, lo), hi)
         params = list(cand.params)
         params[coord] = float(v)
-        return _Candidate(tuple(params), cand.context)
+        model = cand.model if coord >= self.n_model_params else None
+        return _Candidate(tuple(params), cand.context, model)
 
     def describe(self, cand: _Candidate) -> tuple[str, dict, PureState]:
         """The scenario family, its model_params and the object state of a candidate."""
+        state = state_from_angles(self.object_dim, cand.params[self.n_model_params :])
         if self.family is Family.SIGMA_PHI:
-            return "sigma_phi", {"phi_degrees": cand.params[0]}, state_from_angles(2, cand.params[1:])
-        state = state_from_angles(self.object_dim, cand.params[self.n_probe_params :])
+            return "sigma_phi", {"phi_degrees": cand.params[0]}, state
         if self.family is Family.SHIFT:
             probe_amps = self.fixed_probe
             if probe_amps is None:
                 lo, hi = self.window
-                window_state = state_from_angles(hi - lo + 1, cand.params[: self.n_probe_params])
+                window_state = state_from_angles(hi - lo + 1, cand.params[: self.n_model_params])
                 probe_amps = np.zeros(self.probe_dim, dtype=complex)
                 probe_amps[lo : hi + 1] = window_state.amplitudes
             return "shift", {"probe_dim": self.probe_dim, "probe_state": probe_amps}, state
@@ -268,8 +280,9 @@ class _SpaceImpl:
 
     def evaluate(self, cand: _Candidate, relation_id, tol: float) -> tuple[float, RelationVerdict]:
         family, params, state = self.describe(cand)
-        model = self.recalibrate(build_model(family, params, self.x0))
-        verdict = check(relation_id, model, state, self.x0, self.y0, tol=tol)
+        if cand.model is None:
+            cand.model = self.recalibrate(build_model(family, params, self.x0))
+        verdict = check(relation_id, cand.model, state, self.x0, self.y0, tol=tol)
         return verdict.slack, verdict
 
     def scenario_doc(self, cand: _Candidate, tol: float, seed: int, label: str) -> dict:
