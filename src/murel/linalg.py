@@ -6,8 +6,16 @@ and mutually consistent.  Composite indices are object-major throughout:
 ``|i> (x) |k>`` of an object/probe product sits at flat index
 ``i * probe_dim + k``, which matches ``numpy.kron(object_factor, probe_factor)``.
 
-All containers are immutable after construction and every function is pure,
-so everything here is safe to call from parallel workers.
+All containers are immutable after construction and every function is pure.
+
+Trusted construction: user input is validated only where it enters the
+system, at scenario parsing and in the public constructors, which check
+every field.  Each container also has a private ``_trusted`` constructor
+that skips those checks and freezes the arrays it is handed in place.  Only
+code whose output is valid by construction may call it, such as the
+symmetrized ``eigh`` result of ``herm_eig``, a state normalized by its own
+norm, or a model interaction assembled from projectors and permutations;
+that is how the search loop builds without re-validating.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ def as_complex_matrix(a, *, name: str = "matrix") -> np.ndarray:
     arr = np.array(a, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")
     return arr
 
@@ -80,12 +88,19 @@ class PureState:
         amp = np.array(self.amplitudes, dtype=complex)
         if amp.ndim != 1 or amp.size < 1:
             raise ValueError(f"state must be a vector, got shape {amp.shape}")
-        if not np.all(np.isfinite(amp.real)) or not np.all(np.isfinite(amp.imag)):
+        if not np.isfinite(amp).all():
             raise ValueError("state has non-finite amplitudes")
         nrm = float(np.linalg.norm(amp))
         if abs(nrm - 1.0) > STATE_NORM_ATOL:
             raise ValueError(f"state not normalized: ||psi|| = {nrm!r}")
         object.__setattr__(self, "amplitudes", _freeze(amp))
+
+    @classmethod
+    def _trusted(cls, amplitudes: np.ndarray) -> PureState:
+        """A state from a complex vector that is unit-norm by construction."""
+        state = object.__new__(cls)
+        vars(state).update(amplitudes=_freeze(amplitudes))
+        return state
 
     @property
     def dim(self) -> int:
@@ -146,6 +161,17 @@ class HermitianObservable:
         object.__setattr__(self, "eigenvalues", _freeze(w))
         object.__setattr__(self, "eigenvectors", _freeze(v))
 
+    @classmethod
+    def _trusted(
+        cls, matrix: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray
+    ) -> HermitianObservable:
+        """An observable from a Hermitian complex matrix and its own eigh decomposition."""
+        obs = object.__new__(cls)
+        vars(obs).update(
+            matrix=_freeze(matrix), eigenvalues=_freeze(eigenvalues), eigenvectors=_freeze(eigenvectors)
+        )
+        return obs
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -155,7 +181,8 @@ def herm_eig(a, *, atol: float = HERM_ACCEPT_ATOL) -> HermitianObservable:
     """Eigendecompose a Hermitian matrix into a HermitianObservable.
 
     Input may drift from exact hermiticity by up to `atol`; it is
-    symmetrized before decomposition.  Larger drift is rejected.
+    symmetrized before decomposition.  Larger drift is rejected.  The
+    decomposition is eigh's own, so it is not re-checked.
     """
     m = as_complex_matrix(a, name="observable")
     drift = max_abs(m - m.conj().T)
@@ -163,12 +190,19 @@ def herm_eig(a, *, atol: float = HERM_ACCEPT_ATOL) -> HermitianObservable:
         raise ValueError(f"matrix is not Hermitian (max |A - A^dag| = {drift!r})")
     m = (m + m.conj().T) / 2
     w, v = np.linalg.eigh(m)
-    return HermitianObservable(m, w, v)
+    return HermitianObservable._trusted(m, w, v)
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product, object factor first."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two matrices, object factor first.
+
+    The same elementwise products as numpy.kron, without its generic shape
+    handling.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def adjoint(a) -> np.ndarray:

@@ -28,7 +28,6 @@ from .model import (
     IndirectModel,
     calibrated_outcomes,
     evolved_amplitudes,
-    meter_values,
     readout_clusters,
 )
 
@@ -97,11 +96,13 @@ def _bias_operators(model: IndirectModel, x0: HermitianObservable) -> tuple[np.n
     k = model.meter.eigenvectors.conj().T @ k
     kh = k.reshape(d, o).conj().T
 
-    def averaged(f):
-        return kh @ (k * meter_values(model, f)[:, None]).reshape(d, o)
+    values_x0, values_xt = model.measurement_values
+
+    def averaged(values):
+        return kh @ (k * values[:, None]).reshape(d, o)
 
     x_avg = kh @ (x0.matrix @ k.reshape(o, p * o)).reshape(d, o)
-    return averaged(model.value_map_x0) - x0.matrix, averaged(model.value_map_xt) - x_avg
+    return averaged(values_x0) - x0.matrix, averaged(values_xt) - x_avg
 
 
 @dataclass(frozen=True)
@@ -146,14 +147,15 @@ class Evaluation:
         amps, x_amps, y_amps = evolved_amplitudes(model, np.stack([psi, x_psi, y_psi]))
         # U x_t (psi (x) xi) = (x0 (x) I) U (psi (x) xi), and likewise for y_t
         x_t_amps, y_t_amps = x0.matrix @ amps, y0.matrix @ amps
-        mvo_amps = amps * meter_values(model, model.value_map_x0)  # U f(X_t) (psi (x) xi)
+        values_x0, values_xt = model.measurement_values
+        mvo_amps = amps * values_x0  # U f(X_t) (psi (x) xi)
         mvo_mean = float(np.vdot(amps, mvo_amps).real)
         self.amps = amps
         self.sigma_x0 = _spread(psi, x_psi)
         self.sigma_y0 = _spread(psi, y_psi)
         self.object_bound = float(abs(np.vdot(x_psi, y_psi).imag))  # 0.5 |<[x0, y0]>|
         self.eps_x0 = _norm(mvo_amps - x_amps)
-        self.eps_xt = _norm(amps * meter_values(model, model.value_map_xt) - x_t_amps)
+        self.eps_xt = _norm(amps * values_xt - x_t_amps)
         self.eta_y0 = _norm(y_t_amps - y_amps)
         self.sigma_mvo = _norm(mvo_amps - mvo_mean * amps)
         self.delta = mvo_mean - float(np.vdot(psi, x_psi).real)

@@ -10,7 +10,6 @@ calibration function f.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -19,9 +18,11 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    DEGENERACY_GAP,
     HermitianObservable,
     MixedState,
     PureState,
+    _freeze,
     as_complex_matrix,
     eigen_clusters,
     expectation,
@@ -138,9 +139,37 @@ class IndirectModel:
         if self.value_map_xt is None:
             object.__setattr__(self, "value_map_xt", self.value_map_x0)
 
+    @classmethod
+    def _trusted(
+        cls,
+        object_dim: int,
+        probe_dim: int,
+        unitary: np.ndarray,
+        probe_state: PureState,
+        meter: HermitianObservable,
+        value_map_x0: Callable[[float], float] = _identity_map,
+        value_map_xt: Callable[[float], float] | None = None,
+    ) -> IndirectModel:
+        """A model whose parts fit and whose complex unitary is unitary by construction."""
+        model = object.__new__(cls)
+        vars(model).update(
+            object_dim=object_dim, probe_dim=probe_dim, unitary=_freeze(unitary),
+            probe_state=probe_state, meter=meter, value_map_x0=value_map_x0,
+            value_map_xt=value_map_x0 if value_map_xt is None else value_map_xt,
+        )
+        return model
+
     @property
     def dim(self) -> int:
         return self.object_dim * self.probe_dim
+
+    @functools.cached_property
+    def measurement_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """meter_values of value_map_x0 and of value_map_xt, computed once per model."""
+        values_x0 = _freeze(meter_values(self, self.value_map_x0))
+        if self.value_map_xt is self.value_map_x0:
+            return values_x0, values_x0
+        return values_x0, _freeze(meter_values(self, self.value_map_xt))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,10 +210,7 @@ def evolve(model: IndirectModel, x0: HermitianObservable, y0: HermitianObservabl
     u, ud = model.unitary, model.unitary.conj().T
     ip, io = np.eye(model.probe_dim), np.eye(model.object_dim)
     v = model.meter.eigenvectors
-    mvo_x0, mvo_xt = (
-        ud @ tensor(io, (v * meter_values(model, f)) @ v.conj().T) @ u
-        for f in (model.value_map_x0, model.value_map_xt)
-    )
+    mvo_x0, mvo_xt = (ud @ tensor(io, (v * values) @ v.conj().T) @ u for values in model.measurement_values)
     return EvolvedOperators(
         x_t=ud @ tensor(x0.matrix, ip) @ u,
         X_t=ud @ tensor(io, model.meter.matrix) @ u,
@@ -207,13 +233,17 @@ def build_sigma_phi(phi: float) -> IndirectModel:
     p_plus = (ID2 + sp) / 2
     p_minus = (ID2 - sp) / 2
     u = tensor(p_plus, ID2) + tensor(p_minus, PAULI_X)
-    return IndirectModel(
-        object_dim=2,
-        probe_dim=2,
-        unitary=u,
-        probe_state=NAMED_QUBIT_STATES["+z"],
-        meter=NAMED_OBSERVABLES["sigma_z"],
-    )
+    return IndirectModel._trusted(2, 2, u, NAMED_QUBIT_STATES["+z"], NAMED_OBSERVABLES["sigma_z"])
+
+
+@functools.lru_cache(maxsize=32)
+def _spectrum_clusters(spectrum: bytes, gap: float) -> tuple[tuple[float, np.ndarray], ...]:
+    """eigen_clusters of an ascending float64 spectrum given as bytes, found once per spectrum.
+
+    The x0 of a search and the meter its models share are clustered once,
+    not once per build or readout.  The cached index arrays are read-only.
+    """
+    return tuple((value, _freeze(idx)) for value, idx in eigen_clusters(np.frombuffer(spectrum), gap))
 
 
 @functools.lru_cache(maxsize=32)
@@ -240,7 +270,8 @@ def build_shift_model(
 
     The meter is diag(0..probe_dim-1) and the value map subtracts the mean
     initial pointer position, so measurement values line up with the x0
-    spectrum.
+    spectrum.  The interaction permutes pointer levels on each eigenspace of
+    x0, so it is unitary as far as x0's eigenvectors are orthonormal.
     """
     if probe_state.dim != probe_dim:
         raise ValueError("probe state dim does not match probe_dim")
@@ -260,27 +291,21 @@ def build_shift_model(
             f"[{k_min}, {k_max}] with eigenvalue range [{e_min}, {e_max}] "
             f"do not fit in 0..{probe_dim - 1}"
         )
-    step = np.zeros((probe_dim, probe_dim))
-    for k in range(probe_dim):
-        step[(k + 1) % probe_dim, k] = 1.0
-    u = np.zeros((x0.dim * probe_dim, x0.dim * probe_dim), dtype=complex)
-    for value, idx in eigen_clusters(eigs):
+    # u[(i, (l + s) % p), (j, l)] += P[i, j] for each eigenspace projector P of
+    # x0 and its pointer shift s: the nonzero entries of kron(P, step^s).
+    o, levels = x0.dim, np.arange(probe_dim)
+    u = np.zeros((o, probe_dim, o, probe_dim), dtype=complex)
+    for value, idx in _spectrum_clusters(eigs.tobytes(), DEGENERACY_GAP):
         vecs = x0.eigenvectors[:, idx]
-        proj = vecs @ vecs.conj().T
-        u += tensor(proj, np.linalg.matrix_power(step, int(round(value)) % probe_dim))
+        u[:, (levels + int(round(value))) % probe_dim, :, levels] += vecs @ vecs.conj().T
     meter = _graded_meter(probe_dim)
     pointer_mean = float(expectation(probe_state, meter.matrix).real)
 
     def centered(v: float, _mu: float = pointer_mean) -> float:
         return v - _mu
 
-    return IndirectModel(
-        object_dim=x0.dim,
-        probe_dim=probe_dim,
-        unitary=u,
-        probe_state=probe_state,
-        meter=meter,
-        value_map_x0=centered,
+    return IndirectModel._trusted(
+        o, probe_dim, u.reshape(o * probe_dim, o * probe_dim), probe_state, meter, centered
     )
 
 
@@ -288,17 +313,18 @@ def rescale_mvo(model: IndirectModel, f: Callable[[float], float]) -> IndirectMo
     """Recalibrate measurement values: value_map_x0 becomes f o value_map_x0.
 
     Everything else, including value_map_xt, is left untouched.  The value
-    maps are not part of the validated state, so the recalibrated model is a
-    shallow copy that shares the parent's validated arrays.
+    maps are not part of the validated state, so the recalibrated model
+    shares the parent's validated parts.
     """
     old = model.value_map_x0
 
     def composed(v: float) -> float:
         return float(f(old(v)))
 
-    rescaled = copy.copy(model)
-    object.__setattr__(rescaled, "value_map_x0", composed)
-    return rescaled
+    return IndirectModel._trusted(
+        model.object_dim, model.probe_dim, model.unitary, model.probe_state, model.meter,
+        composed, model.value_map_xt,
+    )
 
 
 def evolved_amplitudes(model: IndirectModel, vectors: np.ndarray) -> np.ndarray:
@@ -329,7 +355,7 @@ def readout_clusters(model: IndirectModel, amplitudes: np.ndarray) -> list[tuple
     """
     return [
         (value, amplitudes[:, idx], float(np.sum(np.abs(amplitudes[:, idx]) ** 2)))
-        for value, idx in eigen_clusters(model.meter.eigenvalues, READOUT_MERGE_GAP)
+        for value, idx in _spectrum_clusters(model.meter.eigenvalues.tobytes(), READOUT_MERGE_GAP)
     ]
 
 

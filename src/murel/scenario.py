@@ -49,9 +49,9 @@ from .model import (
     NAMED_OBSERVABLES,
     NAMED_QUBIT_STATES,
     IndirectModel,
+    _graded_meter,
     build_shift_model,
     build_sigma_phi,
-    meter_values,
     named_qubit_state,
     pauli_observable,
     rescale_mvo,
@@ -249,7 +249,7 @@ def _value_map(spec: Any, path: str) -> Callable[[IndirectModel], IndirectModel]
             mean = float(expectation(model.probe_state, model.meter.matrix).real)
             model = rescale_mvo(model, lambda v: v - mean)
         try:
-            values = [meter_values(model, g) for g in (model.value_map_x0, model.value_map_xt)]
+            values = model.measurement_values
         except ValueError as e:
             raise ScenarioError(str(e), path) from None
         _bounded(np.concatenate(values), "measurement value", path)
@@ -435,11 +435,14 @@ def build_model(family: str, params: dict, x0: HermitianObservable) -> IndirectM
             return build_shift_model(x0, params["probe_dim"], probe)
         except ValueError as e:
             raise ScenarioError(str(e), "scenario.model") from None
-    # explicit
-    try:
-        meter = herm_eig(params["meter"])
-    except ValueError as e:
-        raise ScenarioError(str(e), "scenario.model.meter") from None
+    # explicit; the search's graded meter diag(0..p-1) is eigendecomposed once per p
+    if np.array_equal(params["meter"], np.diag(np.arange(probe_amps.size))):
+        meter = _graded_meter(probe_amps.size)
+    else:
+        try:
+            meter = herm_eig(params["meter"])
+        except ValueError as e:
+            raise ScenarioError(str(e), "scenario.model.meter") from None
     try:
         model = IndirectModel(
             object_dim=object_dim,

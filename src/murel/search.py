@@ -16,10 +16,11 @@ the search evaluated, and the replayed slack is bit-identical.  Each built
 model travels with its candidate: a refine step that moves only object-state
 coordinates reuses its parent's model, which is the very ``build_model``
 result a rebuild would give, so reuse changes neither the stream nor replay.
+The states the search draws or parameterizes are unit-norm by construction
+and are not re-validated.
 
-RNG policy: PCG64 behind numpy Generator.  Parallel workers must draw from
-disjoint substreams obtained via ``substream(seed, worker_index)`` (SeedSequence
-spawn keys); results record the generator name.
+RNG policy: PCG64 behind numpy Generator, seeded by the search seed; results
+record the generator name.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
     while nrm == 0.0:  # pragma: no cover - probability zero
         z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         nrm = np.linalg.norm(z)
-    return PureState(z / nrm)
+    return PureState._trusted(z / nrm)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -102,19 +103,23 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * ph
 
 
-def _random_interaction(
-    object_dim: int, probe_dim: int, rng: np.random.Generator
-) -> tuple[np.ndarray, PureState]:
-    """Haar-random interaction unitary, then a Haar-random probe state."""
+def _check_random_dims(object_dim: int, probe_dim: int) -> None:
     if object_dim < 2 or probe_dim < 2:
         raise ValueError("random models need object and probe dims >= 2")
     if object_dim * probe_dim > MAX_RANDOM_MODEL_DIM:
         raise ValueError(f"product dimension {object_dim * probe_dim} exceeds {MAX_RANDOM_MODEL_DIM}")
+
+
+def _random_interaction(
+    object_dim: int, probe_dim: int, rng: np.random.Generator
+) -> tuple[np.ndarray, PureState]:
+    """Haar-random interaction unitary, then a Haar-random probe state."""
     return haar_unitary(object_dim * probe_dim, rng), random_pure_state(probe_dim, rng)
 
 
 def random_model(object_dim: int, probe_dim: int, rng: np.random.Generator) -> IndirectModel:
     """Haar-random interaction with a Haar-random probe and an integer-graded meter."""
+    _check_random_dims(object_dim, probe_dim)
     u, probe = _random_interaction(object_dim, probe_dim, rng)
     return IndirectModel(
         object_dim=object_dim, probe_dim=probe_dim, unitary=u, probe_state=probe,
@@ -138,7 +143,7 @@ def state_from_angles(dim: int, angles) -> PureState:
     for i, al in enumerate(phases, start=1):
         amps[i] *= complex(math.cos(al), math.sin(al))
     nrm = np.linalg.norm(amps)
-    return PureState(amps / nrm)
+    return PureState._trusted(amps / nrm)
 
 
 def _state_bounds(dim: int) -> list[tuple[float, float, bool]]:
@@ -200,6 +205,8 @@ class _SpaceImpl:
         else:
             self.object_dim = int(space.object_dim)
             self.probe_dim = int(space.probe_dim)
+        if self.family is Family.RANDOM_UNITARY:
+            _check_random_dims(self.object_dim, self.probe_dim)
         dx, dy = _default_pair(self.family, self.object_dim)
         self.x0_spec = dx if space.x0_spec is None else space.x0_spec
         self.y0_spec = dy if space.y0_spec is None else space.y0_spec
@@ -260,11 +267,13 @@ class _SpaceImpl:
         model = cand.model if coord >= self.n_model_params else None
         return _Candidate(tuple(params), cand.context, model)
 
-    def describe(self, cand: _Candidate) -> tuple[str, dict, PureState]:
-        """The scenario family, its model_params and the object state of a candidate."""
-        state = state_from_angles(self.object_dim, cand.params[self.n_model_params :])
+    def object_state(self, cand: _Candidate) -> PureState:
+        return state_from_angles(self.object_dim, cand.params[self.n_model_params :])
+
+    def describe(self, cand: _Candidate) -> tuple[str, dict]:
+        """The scenario family and its model_params of a candidate."""
         if self.family is Family.SIGMA_PHI:
-            return "sigma_phi", {"phi_degrees": cand.params[0]}, state
+            return "sigma_phi", {"phi_degrees": cand.params[0]}
         if self.family is Family.SHIFT:
             probe_amps = self.fixed_probe
             if probe_amps is None:
@@ -272,25 +281,24 @@ class _SpaceImpl:
                 window_state = state_from_angles(hi - lo + 1, cand.params[: self.n_model_params])
                 probe_amps = np.zeros(self.probe_dim, dtype=complex)
                 probe_amps[lo : hi + 1] = window_state.amplitudes
-            return "shift", {"probe_dim": self.probe_dim, "probe_state": probe_amps}, state
+            return "shift", {"probe_dim": self.probe_dim, "probe_state": probe_amps}
         u, probe_amps = cand.context
         params = {"object_dim": self.object_dim, "unitary": u, "probe_state": probe_amps,
                   "meter": np.diag(np.arange(self.probe_dim, dtype=float))}
-        return "explicit", params, state
+        return "explicit", params
 
     def evaluate(self, cand: _Candidate, relation_id, tol: float) -> tuple[float, RelationVerdict]:
-        family, params, state = self.describe(cand)
         if cand.model is None:
-            cand.model = self.recalibrate(build_model(family, params, self.x0))
-        verdict = check(relation_id, cand.model, state, self.x0, self.y0, tol=tol)
+            cand.model = self.recalibrate(build_model(*self.describe(cand), self.x0))
+        verdict = check(relation_id, cand.model, self.object_state(cand), self.x0, self.y0, tol=tol)
         return verdict.slack, verdict
 
     def scenario_doc(self, cand: _Candidate, tol: float, seed: int, label: str) -> dict:
-        family, params, state = self.describe(cand)
+        family, params = self.describe(cand)
         return make_scenario_doc(
             family=family,
             model_params=params,
-            state_spec=state.amplitudes,
+            state_spec=self.object_state(cand).amplitudes,
             x0_spec=self.x0_spec,
             y0_spec=self.y0_spec,
             value_map_spec=self.value_map_spec,

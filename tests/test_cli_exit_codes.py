@@ -33,6 +33,7 @@ def _text(doc: dict) -> bytes:
 
 
 SEARCH = ["search", "--relation", "OZAWA_E2", "--family", "shift", "--seed", "0"]
+RANDOM_UNITARY = ["search", "--relation", "OZAWA_E2", "--family", "random_unitary", "--seed", "0", "--budget", "0"]
 
 # (id, scenario file bytes or None, argv with FILE for its path, exit code)
 CASES = [
@@ -51,6 +52,9 @@ CASES = [
     ("tol-zero", None, [*SEARCH, "--budget", "30", "--tol", "0"], 1),
     ("tol-nan", None, [*SEARCH, "--budget", "30", "--tol", "nan"], 1),
     ("budget-negative", None, [*SEARCH, "--budget", "-1"], 1),
+    ("random-unitary-dim-20", None, [*RANDOM_UNITARY, "--object-dim", "5", "--probe-dim", "4"], 1),
+    ("random-unitary-object-dim-1", None, [*RANDOM_UNITARY, "--object-dim", "1"], 1),
+    ("random-unitary-probe-dim-1", None, [*RANDOM_UNITARY, "--probe-dim", "1"], 1),
     ("sweep-grid-nan", _text(SCENARIO), ["sweep", "FILE", "--param", "phi_degrees", "--grid", "nan"], 2),
 ]
 

@@ -165,3 +165,19 @@ def test_values_at_the_scale_bound_are_accepted():
     cfg = build_configuration(scenario_from_dict(doc))
     v = check("OZAWA_E2", cfg.model, cfg.state, cfg.x0, cfg.y0)
     assert math.isfinite(v.lhs) and v.holds
+
+
+# herm_eig trusts eigh's own decomposition: 1e6 * sigma_x reconstructs only
+# to about 1.2e-10, which is relative round-off, not an invalid observable.
+def test_metrics_on_x0_of_norm_1e6_exits_0(capsys, tmp_path):
+    sigmas = []
+    for scale in (1.0, 1e6):
+        doc = {**BASE, "state": "+z",
+               "observables": {"x0": [[[0, 0], [scale, 0]], [[scale, 0], [0, 0]]], "y0": "sigma_y"}}
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["metrics", str(path), "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        sigmas.append(json.loads(captured.out)["sigma_x0"])
+    assert sigmas[1] == pytest.approx(1e6 * sigmas[0], rel=1e-12)
