@@ -1,9 +1,11 @@
 """Error, disturbance, and bias statistics of an indirect measurement.
 
-Every statistic of one configuration is read from one `Evaluation`, which
-evolves psi (x) xi, x0 psi (x) xi and y0 psi (x) xi by U once and keeps them
-in the probe meter's eigenbasis.  There a value map f acts as column weights
-f(m_k), by the probe-space spectral identity
+Every statistic of one configuration is read from one `Evaluation`.  Its
+`__init__` validates the dimensions and evolves psi (x) xi, x0 psi (x) xi and
+y0 psi (x) xi by U once, keeping them in the probe meter's eigenbasis; each
+statistic is then computed once, on first read, so a caller that reads one
+relation's sides pays for those alone.  In the meter eigenbasis a value map f
+acts as column weights f(m_k), by the probe-space spectral identity
 f(U^dag (I (x) M) U) = U^dag (I (x) f(M)) U, and the Heisenberg operators
 x_t, y_t act as x0, y0 on the object index.  So each RMS quantity is the
 norm of an object x probe matrix and each mean an inner product: no
@@ -129,9 +131,11 @@ class MetricsReport:
 class Evaluation:
     """All statistics of one (model, state, x0, y0) configuration.
 
-    The evolved input state is `amps` (object index by meter eigenvector
-    index); the report fields, commutator bounds and sigma(y_t) are computed
-    on construction.  Bias residuals and readouts are computed on request.
+    `__init__` validates the dimensions and evolves the input state to `amps`
+    (object index by meter eigenvector index).  Each statistic (the report
+    fields, the commutator bounds, sigma(y_t) and the readouts) is computed
+    once, on first read, so a caller pays only for what it reads.  Bias
+    residuals are computed on request.
     """
 
     def __init__(
@@ -141,32 +145,80 @@ class Evaluation:
             raise ValueError(f"object state dim {state.dim} != model object dim {model.object_dim}")
         if x0.dim != model.object_dim or y0.dim != model.object_dim:
             raise ValueError("observable dims do not match the model object dim")
-        self.model, self.x0 = model, x0
+        self.model, self.x0, self._y0 = model, x0, y0
         psi = state.amplitudes
         x_psi, y_psi = x0.matrix @ psi, y0.matrix @ psi
-        amps, x_amps, y_amps = evolved_amplitudes(model, np.stack([psi, x_psi, y_psi]))
-        # U x_t (psi (x) xi) = (x0 (x) I) U (psi (x) xi), and likewise for y_t
-        x_t_amps, y_t_amps = x0.matrix @ amps, y0.matrix @ amps
-        values_x0, values_xt = model.measurement_values
-        mvo_amps = amps * values_x0  # U f(X_t) (psi (x) xi)
-        mvo_mean = float(np.vdot(amps, mvo_amps).real)
-        self.amps = amps
-        self.sigma_x0 = _spread(psi, x_psi)
-        self.sigma_y0 = _spread(psi, y_psi)
-        self.object_bound = float(abs(np.vdot(x_psi, y_psi).imag))  # 0.5 |<[x0, y0]>|
-        self.eps_x0 = _norm(mvo_amps - x_amps)
-        self.eps_xt = _norm(amps * values_xt - x_t_amps)
-        self.eta_y0 = _norm(y_t_amps - y_amps)
-        self.sigma_mvo = _norm(mvo_amps - mvo_mean * amps)
-        self.delta = mvo_mean - float(np.vdot(psi, x_psi).real)
-        self.eps_sys = abs(self.delta)
-        self.eps_rand = (
+        self.amps, self._x_amps, self._y_amps = evolved_amplitudes(model, np.array([psi, x_psi, y_psi]))
+        self._psi, self._x_psi, self._y_psi = psi, x_psi, y_psi
+
+    # U x_t (psi (x) xi) = (x0 (x) I) U (psi (x) xi), and likewise for y_t
+    @cached_property
+    def _x_t_amps(self) -> np.ndarray:
+        return self.x0.matrix @ self.amps
+
+    @cached_property
+    def _y_t_amps(self) -> np.ndarray:
+        return self._y0.matrix @ self.amps
+
+    @cached_property
+    def _mvo_amps(self) -> np.ndarray:
+        return self.amps * self.model.measurement_values[0]  # U f(X_t) (psi (x) xi)
+
+    @cached_property
+    def _mvo_mean(self) -> float:
+        return float(np.vdot(self.amps, self._mvo_amps).real)
+
+    @cached_property
+    def sigma_x0(self) -> float:
+        return _spread(self._psi, self._x_psi)
+
+    @cached_property
+    def sigma_y0(self) -> float:
+        return _spread(self._psi, self._y_psi)
+
+    @cached_property
+    def object_bound(self) -> float:
+        return float(abs(np.vdot(self._x_psi, self._y_psi).imag))  # 0.5 |<[x0, y0]>|
+
+    @cached_property
+    def eps_x0(self) -> float:
+        return _norm(self._mvo_amps - self._x_amps)
+
+    @cached_property
+    def eps_xt(self) -> float:
+        return _norm(self.amps * self.model.measurement_values[1] - self._x_t_amps)
+
+    @cached_property
+    def eta_y0(self) -> float:
+        return _norm(self._y_t_amps - self._y_amps)
+
+    @cached_property
+    def sigma_mvo(self) -> float:
+        return _norm(self._mvo_amps - self._mvo_mean * self.amps)
+
+    @cached_property
+    def delta(self) -> float:
+        return self._mvo_mean - float(np.vdot(self._psi, self._x_psi).real)
+
+    @cached_property
+    def eps_sys(self) -> float:
+        return abs(self.delta)
+
+    @cached_property
+    def eps_rand(self) -> float | None:
+        return (
             math.sqrt(max(self.eps_x0 * self.eps_x0 - self.eps_sys * self.eps_sys, 0.0))
             if self.sigma_x0 <= EIGENSTATE_SIGMA_ATOL
             else None
         )
-        self.sigma_yt = _spread(amps, y_t_amps)
-        self.evolved_bound = float(abs(np.vdot(x_t_amps, y_t_amps).imag))  # 0.5 |<[x_t, y_t]>|
+
+    @cached_property
+    def sigma_yt(self) -> float:
+        return _spread(self.amps, self._y_t_amps)
+
+    @cached_property
+    def evolved_bound(self) -> float:
+        return float(abs(np.vdot(self._x_t_amps, self._y_t_amps).imag))  # 0.5 |<[x_t, y_t]>|
 
     def report(self) -> MetricsReport:
         res_x0, res_xt = (spectral_norm(b) for b in _bias_operators(self.model, self.x0))

@@ -87,11 +87,13 @@ def check(
 ) -> RelationVerdict:
     """Evaluate one relation on one configuration.
 
-    SQL_COND_E3 is checked per readout (probability above readout_floor) and
-    the verdict carries the worst readout; use metrics.conditional_pairs for
-    the full per-readout listing.  `evolved` is accepted for compatibility
-    and ignored: every side is read from the evolved state, not from
-    Heisenberg operators.
+    Only the statistics this relation's sides read are computed (see
+    metrics.Evaluation); check_all reads them all from one evaluation and
+    gives bit-identical sides.  SQL_COND_E3 is checked per readout
+    (probability above readout_floor) and the verdict carries the worst
+    readout; use metrics.conditional_pairs for the full per-readout listing.
+    `evolved` is accepted for compatibility and ignored: every side is read
+    from the evolved state, not from Heisenberg operators.
     """
     rid = RelationId(relation_id)
     lhs, rhs = _SIDES[rid](Evaluation(model, state, x0, y0), readout_floor)

@@ -17,7 +17,11 @@ model travels with its candidate: a refine step that moves only object-state
 coordinates reuses its parent's model, which is the very ``build_model``
 result a rebuild would give, so reuse changes neither the stream nor replay.
 The states the search draws or parameterizes are unit-norm by construction
-and are not re-validated.
+and are not re-validated.  A refine candidate whose parameters equal the
+incumbent's (a coordinate clamped at its bound) is the incumbent: it takes
+the incumbent's slack without being built or evaluated, and counts as an
+unproductive step.  ``SearchResult.evaluations`` counts stream positions,
+these included, so it equals the budget.
 
 RNG policy: PCG64 behind numpy Generator, seeded by the search seed; results
 record the generator name.
@@ -368,7 +372,10 @@ def search_min_slack(
             coord = (coord + 1) % impl.nparams
         else:
             cand = impl.random(rng)
-        slack, verdict = impl.evaluate(cand, rid, tol)
+        if refine and cand.params == best_cand.params:
+            slack, verdict = best_slack, best_verdict  # the incumbent, clamped at a bound
+        else:
+            slack, verdict = impl.evaluate(cand, rid, tol)
         if not math.isfinite(slack):
             raise ArithmeticError(f"non-finite slack {slack!r} at evaluation {t}")
         if slack < best_slack:

@@ -102,6 +102,39 @@ def test_random_unitary_builds_once_per_explore_draw(monkeypatch, case, seed):
     assert builds == draws < BUDGET
 
 
+@pytest.mark.parametrize("case", list(CASES)[:4])
+def test_incumbent_refine_candidates_are_not_evaluated(monkeypatch, case):
+    """A refine step clamped at a bound repeats the incumbent; it costs no evaluation.
+
+    Each stream position is either evaluated or such a duplicate.  Seed 7 of
+    random_unitary_4x4-HEISENBERG_E1 clamps no coordinate within the budget,
+    so duplicates are required per case, over both seeds.
+    """
+    counts = {"evaluations": 0, "duplicates": 0}
+    perturb, evaluate = _SpaceImpl.perturb, _SpaceImpl.evaluate
+
+    def counting_perturb(self, cand, coord, step, sign):
+        moved = perturb(self, cand, coord, step, sign)
+        counts["duplicates"] += moved.params == cand.params
+        return moved
+
+    def counting_evaluate(self, cand, relation_id, tol):
+        counts["evaluations"] += 1
+        return evaluate(self, cand, relation_id, tol)
+
+    monkeypatch.setattr(_SpaceImpl, "perturb", counting_perturb)
+    monkeypatch.setattr(_SpaceImpl, "evaluate", counting_evaluate)
+    space, relation = CASES[case]
+    duplicates = 0
+    for seed in (0, 7):
+        counts.update(evaluations=0, duplicates=0)
+        result = search_min_slack(relation, space, BUDGET, seed)
+        assert counts["evaluations"] + counts["duplicates"] == BUDGET, seed
+        assert result.evaluations == BUDGET
+        duplicates += counts["duplicates"]
+    assert duplicates > 0
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_fixed_probe_shift_builds_once_per_explore_draw(monkeypatch, seed):
     builds, draws = _counted_search(monkeypatch, "shift_fixed_probe_scale-SQL_COND_E3", seed)

@@ -17,8 +17,9 @@ from murel.model import (
     pauli_observable,
     rescale_mvo,
 )
-from murel.metrics import unbiasedness_residual_x0
-from murel.relations import DEFAULT_TOL, RelationId, check, check_all
+from murel.metrics import Evaluation, full_report, unbiasedness_residual_x0
+from murel.relations import _SIDES, DEFAULT_TOL, READOUT_FLOOR, RelationId, check, check_all
+from murel.scenario import apply_value_map
 from murel.search import random_model, random_pure_state
 
 SX = pauli_observable("sigma_x")
@@ -265,3 +266,62 @@ class TestBasisInvariance:
         after = check_all(rotated, psi_r, x0_r, y0_r)
         for va, vb in zip(before, after):
             assert va.slack == pytest.approx(vb.slack, abs=1e-9), va.relation_id
+
+
+# Object x probe dims of random models, product at most 16.
+RANDOM_DIMS = [(o, p) for o in range(2, 9) for p in range(2, 9) if o * p <= 16]
+REPORT_FIELDS = (
+    "eps_x0", "eps_xt", "eta_y0", "sigma_x0", "sigma_y0", "sigma_mvo", "delta", "eps_sys", "eps_rand",
+)
+
+
+class TestOnDemandStatistics:
+    """Each statistic is computed on first read, with the same value whatever reads it first."""
+
+    @staticmethod
+    def configuration(seed, dims, value_map):
+        rng = np.random.default_rng(seed)
+        object_dim, probe_dim = dims
+        model = apply_value_map(random_model(object_dim, probe_dim, rng), value_map)
+        x0 = herm_eig(random_hermitian(object_dim, rng))
+        y0 = herm_eig(random_hermitian(object_dim, rng))
+        return model, random_pure_state(object_dim, rng), x0, y0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from(RANDOM_DIMS),
+        st.sampled_from(["identity", "scale:2", "center_on_meter_mean"]),
+    )
+    def test_check_matches_check_all_bit_for_bit(self, seed, dims, value_map):
+        model, psi, x0, y0 = self.configuration(seed, dims, value_map)
+        for rid, whole in zip(RelationId, check_all(model, psi, x0, y0)):
+            alone = check(rid, model, psi, x0, y0)
+            assert alone.relation_id == whole.relation_id
+            for side in ("lhs", "rhs", "slack"):
+                assert getattr(alone, side).hex() == getattr(whole, side).hex(), (rid, side)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from(RANDOM_DIMS),
+        st.sampled_from(["identity", "scale:2", "center_on_meter_mean"]),
+    )
+    def test_report_does_not_depend_on_read_order(self, seed, dims, value_map):
+        model, psi, x0, y0 = self.configuration(seed, dims, value_map)
+        ev = Evaluation(model, psi, x0, y0)
+        reversed_reads = {name: getattr(ev, name) for name in reversed(REPORT_FIELDS)}
+        report = full_report(model, psi, x0, y0)
+        assert reversed_reads == {name: getattr(report, name) for name in REPORT_FIELDS}
+        assert ev.report() == report
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(RANDOM_DIMS))
+    def test_heisenberg_reads_only_its_own_statistics(self, seed, dims):
+        model, psi, x0, y0 = self.configuration(seed, dims, "identity")
+        ev = Evaluation(model, psi, x0, y0)
+        _SIDES[RelationId.HEISENBERG_E1](ev, READOUT_FLOOR)
+        computed = vars(ev)
+        assert {"eps_x0", "eta_y0", "object_bound"} <= computed.keys()
+        for name in ("sigma_x0", "eps_xt", "sigma_mvo", "sigma_yt", "evolved_bound"):
+            assert name not in computed, name
