@@ -20,6 +20,7 @@ that is how the search loop builds without re-validating.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -226,17 +227,24 @@ def expectation(state: PureState, a) -> complex:
     return complex(psi.conj() @ (a @ psi))
 
 
-def apply_spectral(f: Callable[[float], float], obs: HermitianObservable) -> HermitianObservable:
-    """Apply a real scalar function to an observable through its spectrum."""
-    mapped = np.array([float(f(float(w))) for w in obs.eigenvalues], dtype=float)
-    if not np.all(np.isfinite(mapped)):
+def _mapped_spectrum(f: Callable[[float], float], eigenvalues: np.ndarray) -> np.ndarray:
+    """f applied to each eigenvalue, in order; a non-finite value is rejected."""
+    mapped = [float(f(w)) for w in eigenvalues.tolist()]
+    if not all(map(math.isfinite, mapped)):
         raise ValueError("spectral function produced a non-finite value")
+    return np.array(mapped)
+
+
+def apply_spectral(f: Callable[[float], float], obs: HermitianObservable) -> HermitianObservable:
+    """Apply a real scalar function to an observable through its spectrum.
+
+    The input's orthonormal eigenvectors, sorted by mapped value, make it valid by construction.
+    """
+    mapped = _mapped_spectrum(f, obs.eigenvalues)
     order = np.argsort(mapped, kind="stable")
-    w = mapped[order]
-    v = obs.eigenvectors[:, order]
+    w, v = mapped[order], obs.eigenvectors[:, order]
     m = (v * w) @ v.conj().T
-    m = (m + m.conj().T) / 2
-    return HermitianObservable(m, w, v)
+    return HermitianObservable._trusted((m + m.conj().T) / 2, w, v)
 
 
 def probe_partial_expectation(a, probe_state: PureState) -> np.ndarray:

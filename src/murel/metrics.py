@@ -25,9 +25,9 @@ import numpy as np
 
 from .linalg import HermitianObservable, MixedState, PureState, spectral_norm
 from .model import (
-    READOUT_MERGE_GAP,
     ZERO_PROB,
     IndirectModel,
+    _matched_readout,
     calibrated_outcomes,
     evolved_amplitudes,
     readout_clusters,
@@ -245,12 +245,9 @@ class Evaluation:
         return math.sqrt(sigma * sigma + (mean - assigned) ** 2), sigma
 
     def conditional_resolution(self, readout: float) -> tuple[float, float]:
-        for value, coeffs, prob in self.readouts:
-            if abs(value - readout) <= READOUT_MERGE_GAP:
-                return self._conditional(readout, coeffs, prob)
-        raise ValueError(f"readout {readout!r} is not a meter eigenvalue")
+        return self._conditional(readout, *_matched_readout(self.readouts, readout))
 
-    def conditional_pairs(self, floor: float = 1e-12) -> list[tuple[float, float, float, float]]:
+    def conditional_pairs(self, floor: float = ZERO_PROB) -> list[tuple[float, float, float, float]]:
         return [
             (value, prob, *self._conditional(value, coeffs, prob))
             for value, coeffs, prob in self.readouts
@@ -337,7 +334,7 @@ def conditional_resolution(
 
 
 def conditional_pairs(
-    model: IndirectModel, state: PureState, x0: HermitianObservable, *, floor: float = 1e-12
+    model: IndirectModel, state: PureState, x0: HermitianObservable, *, floor: float = ZERO_PROB
 ) -> list[tuple[float, float, float, float]]:
     """(readout, probability, eps_cond, sigma_cond) for readouts above the floor."""
     return Evaluation(model, state, x0, x0).conditional_pairs(floor)

@@ -11,7 +11,6 @@ calibration function f.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,6 +22,7 @@ from .linalg import (
     MixedState,
     PureState,
     _freeze,
+    _mapped_spectrum,
     as_complex_matrix,
     eigen_clusters,
     expectation,
@@ -192,32 +192,26 @@ def composite_input(model: IndirectModel, state: PureState) -> np.ndarray:
 
 def meter_values(model: IndirectModel, f: Callable[[float], float]) -> np.ndarray:
     """A value map applied to the meter eigenvalues, in the meter's eigenvector order."""
-    mapped = [float(f(w)) for w in model.meter.eigenvalues.tolist()]
-    if not all(map(math.isfinite, mapped)):
-        raise ValueError("spectral function produced a non-finite value")
-    return np.array(mapped)
+    return _mapped_spectrum(f, model.meter.eigenvalues)
 
 
 def evolve(model: IndirectModel, x0: HermitianObservable, y0: HermitianObservable) -> EvolvedOperators:
-    """Conjugate the relevant operators by the interaction unitary.
+    """Conjugate the relevant operators by the interaction unitary, in the meter frame.
 
-    The value maps act on the probe meter's spectrum, since
-    f(U^dag (I (x) M) U) = U^dag (I (x) f(M)) U; no joint-space operator is
-    eigendecomposed.
+    W = (I (x) V^dag) U, for V the meter eigenvectors.  I (x) V commutes with
+    A (x) I, so x_t = W^dag (x0 (x) I) W with x0 acting on W's object index,
+    and f(X_t) = U^dag (I (x) f(M)) U = W^dag diag(f(m_k)) W weights W's rows;
+    no joint-space operator is built as a Kronecker product or eigendecomposed.
     """
     if x0.dim != model.object_dim or y0.dim != model.object_dim:
         raise ValueError("observable dims do not match the model object dim")
-    u, ud = model.unitary, model.unitary.conj().T
-    ip, io = np.eye(model.probe_dim), np.eye(model.object_dim)
-    v = model.meter.eigenvectors
-    mvo_x0, mvo_xt = (ud @ tensor(io, (v * values) @ v.conj().T) @ u for values in model.measurement_values)
-    return EvolvedOperators(
-        x_t=ud @ tensor(x0.matrix, ip) @ u,
-        X_t=ud @ tensor(io, model.meter.matrix) @ u,
-        y_t=ud @ tensor(y0.matrix, ip) @ u,
-        mvo_x0=mvo_x0,
-        mvo_xt=mvo_xt,
-    )
+    o, p, d = model.object_dim, model.probe_dim, model.dim
+    w = model.meter.eigenvectors.conj().T @ model.unitary.reshape(o, p, d)
+    wh = w.reshape(d, d).conj().T
+    x_t, y_t = (wh @ (a.matrix @ w.reshape(o, p * d)).reshape(d, d) for a in (x0, y0))
+    weights = (model.meter.eigenvalues, *model.measurement_values)
+    X_t, mvo_x0, mvo_xt = (wh @ (w * values[:, None]).reshape(d, d) for values in weights)
+    return EvolvedOperators(x_t, X_t, y_t, mvo_x0, mvo_xt)
 
 
 def build_sigma_phi(phi: float) -> IndirectModel:
@@ -255,6 +249,15 @@ def _graded_meter(probe_dim: int) -> HermitianObservable:
     return herm_eig(np.diag(np.arange(probe_dim, dtype=float)))
 
 
+def _pointer_window(x0: HermitianObservable, probe_dim: int) -> tuple[int, int]:
+    """Pointer levels [lo, hi] that no shift by an integer x0 eigenvalue moves off the register."""
+    eigs = x0.eigenvalues
+    rounded = np.round(eigs)
+    if max_abs(eigs - rounded) > 1e-9:
+        raise ValueError(f"observable spectrum is not integer: {eigs.tolist()!r}")
+    return max(0, -int(rounded[0])), min(probe_dim - 1, probe_dim - 1 - int(rounded[-1]))
+
+
 def build_shift_model(
     x0: HermitianObservable,
     probe_dim: int,
@@ -275,27 +278,21 @@ def build_shift_model(
     """
     if probe_state.dim != probe_dim:
         raise ValueError("probe state dim does not match probe_dim")
-    eigs = x0.eigenvalues
-    rounded = np.round(eigs)
-    if max_abs(eigs - rounded) > 1e-9:
-        raise ValueError(f"observable spectrum is not integer: {eigs.tolist()!r}")
-    shifts = rounded.astype(int)
+    lo, hi = _pointer_window(x0, probe_dim)
     populated = np.flatnonzero(np.abs(probe_state.amplitudes) > POPULATED_ATOL)
     if populated.size == 0:
         raise ValueError("probe state has no populated pointer level")
-    k_min, k_max = int(populated.min()), int(populated.max())
-    e_min, e_max = int(shifts.min()), int(shifts.max())
-    if k_min + e_min < 0 or k_max + e_max > probe_dim - 1:
+    k_min, k_max = int(populated[0]), int(populated[-1])
+    if k_min < lo or k_max > hi:
         raise ValueError(
-            "pointer shift would wrap around the register: populated levels "
-            f"[{k_min}, {k_max}] with eigenvalue range [{e_min}, {e_max}] "
-            f"do not fit in 0..{probe_dim - 1}"
+            f"pointer shift would wrap around the register: populated levels [{k_min}, {k_max}] "
+            f"leave the levels [{lo}, {hi}] that every eigenvalue shift keeps in 0..{probe_dim - 1}"
         )
     # u[(i, (l + s) % p), (j, l)] += P[i, j] for each eigenspace projector P of
     # x0 and its pointer shift s: the nonzero entries of kron(P, step^s).
     o, levels = x0.dim, np.arange(probe_dim)
     u = np.zeros((o, probe_dim, o, probe_dim), dtype=complex)
-    for value, idx in _spectrum_clusters(eigs.tobytes(), DEGENERACY_GAP):
+    for value, idx in _spectrum_clusters(x0.eigenvalues.tobytes(), DEGENERACY_GAP):
         vecs = x0.eigenvectors[:, idx]
         u[:, (levels + int(round(value))) % probe_dim, :, levels] += vecs @ vecs.conj().T
     meter = _graded_meter(probe_dim)
@@ -389,19 +386,24 @@ def outcome_probabilities(model: IndirectModel, state: PureState) -> list[tuple[
     return calibrated_outcomes(model, readout_probabilities(model, state))
 
 
+def _matched_readout(readouts: list, readout: float) -> tuple[np.ndarray, float]:
+    """(coefficients, probability) of the readout cluster at a raw meter eigenvalue of nonzero probability."""
+    for value, coeffs, prob in readouts:
+        if abs(value - readout) <= READOUT_MERGE_GAP:
+            if prob <= ZERO_PROB:
+                raise ValueError(f"readout {readout!r} has probability {prob!r}; conditioning undefined")
+            return coeffs, prob
+    raise ValueError(f"readout {readout!r} is not a meter eigenvalue")
+
+
 def conditional_post_state(
     model: IndirectModel, state: PureState, readout: float
 ) -> tuple[MixedState, float]:
     """Object state after observing a raw meter eigenvalue, with its probability.
 
-    Conditioning on an outcome of probability <= 1e-12 is undefined and
+    Conditioning on an outcome of probability <= ZERO_PROB is undefined and
     rejected.
     """
-    for value, coeffs, prob in readout_clusters(model, _evolved_state(model, state)):
-        if abs(value - readout) <= READOUT_MERGE_GAP:
-            if prob <= ZERO_PROB:
-                raise ValueError(f"readout {readout!r} has probability {prob!r}; conditioning undefined")
-            rho = coeffs @ coeffs.conj().T / prob
-            rho = (rho + rho.conj().T) / 2
-            return MixedState(rho), prob
-    raise ValueError(f"readout {readout!r} is not a meter eigenvalue")
+    coeffs, prob = _matched_readout(readout_clusters(model, _evolved_state(model, state)), readout)
+    rho = coeffs @ coeffs.conj().T / prob
+    return MixedState((rho + rho.conj().T) / 2), prob

@@ -23,8 +23,8 @@ the incumbent's slack without being built or evaluated, and counts as an
 unproductive step.  ``SearchResult.evaluations`` counts stream positions,
 these included, so it equals the budget.
 
-RNG policy: PCG64 behind numpy Generator, seeded by the search seed; results
-record the generator name.
+RNG policy: one PCG64 generator, ``numpy.random.default_rng(seed)``, feeds
+the whole candidate stream; results record the generator name.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import PureState
-from .model import IndirectModel, _graded_meter
+from .model import IndirectModel, _graded_meter, _pointer_window
 from .relations import DEFAULT_TOL, RelationId, RelationVerdict, check
 from .scenario import (
     _resolve_observable,
@@ -78,12 +78,12 @@ class Family(str, Enum):
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Disjoint child generator #index of a root seed (SeedSequence spawn key)."""
+    """Disjoint child generator #index of a root seed (SeedSequence spawn key).
+
+    A public helper that murel itself does not use: the search draws from one
+    root generator, ``numpy.random.default_rng(seed)``.
+    """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=(int(index),))))
-
-
-def root_generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
@@ -225,16 +225,9 @@ class _SpaceImpl:
             self.bounds = [(0.0, 360.0, True)] + state_b
             self.n_model_params = 1
         elif self.family is Family.SHIFT:
-            eigs = np.round(self.x0.eigenvalues).astype(int)
-            if np.max(np.abs(self.x0.eigenvalues - eigs)) > 1e-9:
-                raise ValueError("shift family needs an integer-spectrum x0")
-            lo = max(0, -int(eigs.min()))
-            hi = self.probe_dim - 1 - int(eigs.max())
+            lo, hi = self.window = _pointer_window(self.x0, self.probe_dim)
             if hi < lo:
-                raise ValueError(
-                    f"probe_dim {self.probe_dim} leaves no pointer level free of wraparound"
-                )
-            self.window = (lo, hi)
+                raise ValueError(f"probe_dim {self.probe_dim} leaves no pointer level free of wraparound")
             if space.probe_state is not None:
                 self.fixed_probe = np.array(space.probe_state, dtype=complex)
                 build_model("shift", {"probe_dim": self.probe_dim, "probe_state": self.fixed_probe},
@@ -350,7 +343,7 @@ def search_min_slack(
         raise ValueError("budget must be nonnegative")
     tol = _tolerance(tol, "tol")
     impl = _SpaceImpl(space)
-    rng = root_generator(seed)
+    rng = np.random.default_rng(int(seed))
 
     best_cand: _Candidate | None = None
     best_slack = math.inf

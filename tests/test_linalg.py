@@ -101,6 +101,17 @@ class TestSpectralFunctions:
         with pytest.raises(ValueError, match="non-finite"):
             apply_spectral(lambda v: float("nan"), obs)
 
+    @pytest.mark.parametrize("f", [lambda v: 1e6 * v, lambda v: 1e5 * v**3], ids=["1e6 v", "1e5 v^3"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_large_maps_are_accepted_and_reconstruct_relative_to_their_scale(self, f, seed):
+        # An absolute reconstruction tolerance rejects maps of spectral norm
+        # >= 1e6; the result is valid by construction at any scale.
+        obs = herm_eig(random_hermitian(4, np.random.default_rng(seed)))
+        mapped = apply_spectral(f, obs)
+        w, v = mapped.eigenvalues, mapped.eigenvectors
+        assert np.array_equal(w, np.sort([f(e) for e in obs.eigenvalues.tolist()]))
+        assert max_abs((v * w) @ v.conj().T - mapped.matrix) <= 1e-12 * np.max(np.abs(w))
+
 
 class TestTensorAndPartial:
     def test_tensor_index_convention(self, rng):

@@ -31,6 +31,7 @@ from murel import (
     haar_unitary,
     herm_eig,
 )
+from murel.metrics import Evaluation
 
 RTOL = 1e-10
 EVOLVE_ATOL = 1e-12
@@ -211,3 +212,82 @@ def test_statistics_and_verdicts_match_joint_space_oracle(object_dim, probe_dim,
     ev = evolve(model, x0, y0)
     assert np.max(np.abs(ev.mvo_x0 - mvo_x0)) <= EVOLVE_ATOL
     assert np.max(np.abs(ev.mvo_xt - mvo_xt)) <= EVOLVE_ATOL
+
+
+@settings(max_examples=80, deadline=None)
+@given(object_dim=st.integers(2, 4), probe_dim=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_every_evolved_operator_matches_kron_oracle(object_dim, probe_dim, seed):
+    model, _, x0, y0, raw = _draw_configuration(object_dim, probe_dim, seed, eigenstate=False)
+    *_, mvo_x0, mvo_xt = _joint_oracle(raw, object_dim, probe_dim)
+    u = raw["u"]
+    ud, io, ip = u.conj().T, np.eye(object_dim), np.eye(probe_dim)
+    want = dict(
+        x_t=ud @ np.kron(raw["x0"], ip) @ u,
+        X_t=ud @ np.kron(io, raw["meter"]) @ u,
+        y_t=ud @ np.kron(raw["y0"], ip) @ u,
+        mvo_x0=mvo_x0,
+        mvo_xt=mvo_xt,
+    )
+    ev = evolve(model, x0, y0)
+    for name, op in want.items():
+        assert np.max(np.abs(getattr(ev, name) - op)) <= EVOLVE_ATOL, name
+
+
+def _op_norm(a) -> float:
+    return float(np.linalg.norm(a, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    object_dim=st.integers(2, 4),
+    probe_dim=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    eigenstate=st.booleans(),
+)
+def test_ozawa_relation_follows_from_the_commutator_identity_and_robertson_steps(
+    object_dim, probe_dim, seed, eigenstate
+):
+    """Ozawa's relation from joint-space operators alone, step by step.
+
+    f(X_t) commutes with y_t, so with N = f(X_t) - X and D = y_t - Y the
+    commutator [X, Y] splits as -[X, Y] = [N, D] + [N, Y] + [X, D], and
+    Robertson's inequality bounds each term by a product of the RMS error
+    ||N Psi||, the RMS disturbance ||D Psi|| and the spreads of X and Y.
+    Every tolerance is RTOL times the operator norms of its terms.
+    """
+    model, state, x0, y0, raw = _draw_configuration(object_dim, probe_dim, seed, eigenstate)
+    *_, mvo_x0, _ = _joint_oracle(raw, object_dim, probe_dim)
+    u, ip = raw["u"], np.eye(probe_dim)
+    a = mvo_x0
+    b = u.conj().T @ np.kron(raw["y0"], ip) @ u
+    x, y = np.kron(raw["x0"], ip), np.kron(raw["y0"], ip)
+    n, d = a - x, b - y
+    psi = np.kron(raw["psi"], raw["xi"])
+
+    def comm(p, q):
+        return p @ q - q @ p
+
+    def half_mean(c):
+        return 0.5 * abs(np.vdot(psi, c @ psi))
+
+    def rms(p):
+        return float(np.linalg.norm(p @ psi))
+
+    def spread(p):
+        return rms(p - np.vdot(psi, p @ psi).real * np.eye(p.shape[0]))
+
+    na, nb, nn, nd, nx, ny = (_op_norm(m) for m in (a, b, n, d, x, y))
+    assert np.max(np.abs(comm(a, b))) <= RTOL * na * nb
+    identity_residual = comm(n, d) + comm(n, y) + comm(x, d) + comm(x, y)
+    assert np.max(np.abs(identity_residual)) <= RTOL * (nn * nd + nn * ny + nx * nd + nx * ny)
+
+    eps, eta, sigma_x, sigma_y = rms(n), rms(d), spread(x), spread(y)
+    assert half_mean(comm(n, d)) <= eps * eta + RTOL * nn * nd
+    assert half_mean(comm(n, y)) <= eps * sigma_y + RTOL * nn * ny
+    assert half_mean(comm(x, d)) <= sigma_x * eta + RTOL * nx * nd
+    assert half_mean(comm(x, y)) <= eps * eta + eps * sigma_y + sigma_x * eta + RTOL * (
+        nn * nd + nn * ny + nx * nd + nx * ny
+    )
+
+    ev = Evaluation(model, state, x0, y0)
+    assert _close(ev.eps_x0, eps) and _close(ev.eta_y0, eta)

@@ -161,6 +161,18 @@ class TestSearchLoop:
         amps = cfg.model.probe_state.amplitudes
         assert abs(amps[0]) < 1e-12 and abs(amps[3]) < 1e-12
 
+    def test_shift_window_of_a_negative_spectrum_stays_in_the_register(self):
+        # shifts -2 and -1 keep only pointer levels 2 and 3 on a 4-level register
+        space = SearchSpace(family=Family.SHIFT, probe_dim=4, x0_spec=np.diag([-2.0, -1.0]))
+        res = search_min_slack(RelationId.SQL_E14, space, 40, seed=0)
+        amps = build_configuration(scenario_from_dict(res.witness_doc)).model.probe_state.amplitudes
+        assert abs(amps[0]) < 1e-12 and abs(amps[1]) < 1e-12
+
+    def test_shift_space_with_non_integer_x0_rejected(self):
+        space = SearchSpace(family=Family.SHIFT, probe_dim=4, x0_spec=np.diag([0.0, 0.5]))
+        with pytest.raises(ValueError, match="observable spectrum is not integer"):
+            search_min_slack(RelationId.SQL_E14, space, 10, seed=0)
+
     def test_shift_space_without_room_rejected(self):
         with pytest.raises(ValueError, match="no pointer level"):
             search_min_slack(

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_integer_spectrum_observable
-from murel.linalg import HermitianObservable, PureState, eigen_clusters, herm_eig, tensor
+from murel.linalg import HermitianObservable, PureState, apply_spectral, eigen_clusters, herm_eig, tensor
 from murel.model import (
     ID2,
     NAMED_OBSERVABLES,
@@ -90,6 +90,13 @@ def test_random_pure_state_passes_the_state_validator(dim, seed):
 @given(st.integers(1, 16), SEEDS)
 def test_herm_eig_passes_the_observable_validator(dim, seed):
     validated_observable(herm_eig(random_hermitian(dim, np.random.default_rng(seed))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), SEEDS)
+def test_apply_spectral_passes_the_observable_validator(dim, seed):
+    obs = herm_eig(random_hermitian(dim, np.random.default_rng(seed)))
+    validated_observable(apply_spectral(lambda v: 0.3 * v**3 - 2.0 * v + 1.0, obs))
 
 
 @settings(max_examples=40, deadline=None)
