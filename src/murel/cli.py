@@ -211,9 +211,10 @@ def cmd_search(args) -> int:
     if result.witness_doc is not None:
         certify(result)
         if args.witness_out:
-            Path(args.witness_out).write_text(
-                scenario_to_text(result.witness_doc), encoding="utf-8"
-            )
+            try:
+                Path(args.witness_out).write_text(scenario_to_text(result.witness_doc), encoding="utf-8")
+            except OSError as e:
+                raise _UsageError(f"cannot write witness file {args.witness_out!r}: {e.strerror or e}") from None
             witness_path = args.witness_out
 
     violation = result.violation_found(args.tol)

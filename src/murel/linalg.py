@@ -12,14 +12,15 @@ Trusted construction: user input is validated only where it enters the
 system, at scenario parsing and in the public constructors, which check
 every field.  Each container also has a private ``_trusted`` constructor
 that skips those checks and freezes the arrays it is handed in place.  Only
-code whose output is valid by construction may call it, such as the
-symmetrized ``eigh`` result of ``herm_eig``, a state normalized by its own
-norm, or a model interaction assembled from projectors and permutations;
-that is how the search loop builds without re-validating.
+code whose output is valid by construction may call it, such as ``eigh``'s
+result, a normalized state, a Haar unitary, a model interaction assembled
+from projectors and permutations, or ``scenario.build_model``'s parts, which
+the scenario reader checked; that is how the search loop builds unchecked.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -91,7 +92,8 @@ class PureState:
             raise ValueError(f"state must be a vector, got shape {amp.shape}")
         if not np.isfinite(amp).all():
             raise ValueError("state has non-finite amplitudes")
-        nrm = float(np.linalg.norm(amp))
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, and rejected
+            nrm = float(np.linalg.norm(amp))
         if abs(nrm - 1.0) > STATE_NORM_ATOL:
             raise ValueError(f"state not normalized: ||psi|| = {nrm!r}")
         object.__setattr__(self, "amplitudes", _freeze(amp))
@@ -176,6 +178,11 @@ class HermitianObservable:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @functools.cached_property
+    def _clusters(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """eigen_clusters of the spectrum, found once per observable; the index arrays are read-only."""
+        return tuple((value, _freeze(idx)) for value, idx in eigen_clusters(self.eigenvalues))
 
 
 def herm_eig(a, *, atol: float = HERM_ACCEPT_ATOL) -> HermitianObservable:

@@ -17,14 +17,12 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
-    DEGENERACY_GAP,
     HermitianObservable,
     MixedState,
     PureState,
     _freeze,
     _mapped_spectrum,
     as_complex_matrix,
-    eigen_clusters,
     expectation,
     herm_eig,
     max_abs,
@@ -55,6 +53,9 @@ UNITARITY_ATOL = 1e-10
 POPULATED_ATOL = 1e-12  # probe amplitudes above this count as populated
 READOUT_MERGE_GAP = 1e-9
 ZERO_PROB = 1e-12
+# Bound on the shift family's object_dim * probe_dim: its interaction matrix
+# of 256^2 complex entries takes 1 MiB, and criterion 08b's 2 x 34 fits.
+MAX_SHIFT_DIM = 256
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -103,6 +104,15 @@ def _identity_map(v: float) -> float:
     return v
 
 
+def _require_unitary(u: np.ndarray) -> np.ndarray:
+    """u, once max |U^dag U - I| is at most UNITARITY_ATOL; an overflow to inf or nan fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = max_abs(u.conj().T @ u - np.eye(u.shape[0]))
+    if not drift <= UNITARITY_ATOL:
+        raise ValueError(f"non-unitary interaction (max |U^dag U - I| = {drift!r})")
+    return u
+
+
 @dataclass(frozen=True, eq=False)
 class IndirectModel:
     """Object-probe measurement scheme, immutable after construction.
@@ -127,9 +137,7 @@ class IndirectModel:
         u = as_complex_matrix(self.unitary, name="unitary")
         if u.shape[0] != d:
             raise ValueError(f"unitary dim {u.shape[0]} != object*probe dim {d}")
-        drift = max_abs(u.conj().T @ u - np.eye(d))
-        if drift > UNITARITY_ATOL:
-            raise ValueError(f"non-unitary interaction (max |U^dag U - I| = {drift!r})")
+        _require_unitary(u)
         if self.probe_state.dim != self.probe_dim:
             raise ValueError("probe state dim does not match probe_dim")
         if self.meter.dim != self.probe_dim:
@@ -231,16 +239,6 @@ def build_sigma_phi(phi: float) -> IndirectModel:
 
 
 @functools.lru_cache(maxsize=32)
-def _spectrum_clusters(spectrum: bytes, gap: float) -> tuple[tuple[float, np.ndarray], ...]:
-    """eigen_clusters of an ascending float64 spectrum given as bytes, found once per spectrum.
-
-    The x0 of a search and the meter its models share are clustered once,
-    not once per build or readout.  The cached index arrays are read-only.
-    """
-    return tuple((value, _freeze(idx)) for value, idx in eigen_clusters(np.frombuffer(spectrum), gap))
-
-
-@functools.lru_cache(maxsize=32)
 def _graded_meter(probe_dim: int) -> HermitianObservable:
     """The integer-graded meter diag(0..probe_dim-1), eigendecomposed once per dimension.
 
@@ -251,6 +249,8 @@ def _graded_meter(probe_dim: int) -> HermitianObservable:
 
 def _pointer_window(x0: HermitianObservable, probe_dim: int) -> tuple[int, int]:
     """Pointer levels [lo, hi] that no shift by an integer x0 eigenvalue moves off the register."""
+    if x0.dim * probe_dim > MAX_SHIFT_DIM:
+        raise ValueError(f"object dim {x0.dim} * probe_dim {probe_dim} exceeds the shift bound {MAX_SHIFT_DIM}")
     eigs = x0.eigenvalues
     rounded = np.round(eigs)
     if max_abs(eigs - rounded) > 1e-9:
@@ -292,7 +292,7 @@ def build_shift_model(
     # x0 and its pointer shift s: the nonzero entries of kron(P, step^s).
     o, levels = x0.dim, np.arange(probe_dim)
     u = np.zeros((o, probe_dim, o, probe_dim), dtype=complex)
-    for value, idx in _spectrum_clusters(x0.eigenvalues.tobytes(), DEGENERACY_GAP):
+    for value, idx in x0._clusters:
         vecs = x0.eigenvectors[:, idx]
         u[:, (levels + int(round(value))) % probe_dim, :, levels] += vecs @ vecs.conj().T
     meter = _graded_meter(probe_dim)
@@ -352,7 +352,7 @@ def readout_clusters(model: IndirectModel, amplitudes: np.ndarray) -> list[tuple
     """
     return [
         (value, amplitudes[:, idx], float(np.sum(np.abs(amplitudes[:, idx]) ** 2)))
-        for value, idx in _spectrum_clusters(model.meter.eigenvalues.tobytes(), READOUT_MERGE_GAP)
+        for value, idx in model.meter._clusters
     ]
 
 

@@ -31,7 +31,10 @@ shift): "scale:100" on a shift model recalibrates values to 100 * (raw - mean).
 Scale bound: every measurement value f(m_k) of both value maps and the
 spectral norms of x0 and y0 must be at most 1e150 in magnitude (VALUE_BOUND);
 larger ones are rejected at scenario.value_map or scenario.observables.x0/y0,
-so every statistic and verdict of a valid scenario is finite.
+so every statistic and verdict of a valid scenario is finite.  A shift
+register, object dim * probe_dim, may have at most 256 levels
+(model.MAX_SHIFT_DIM); a larger one is rejected at scenario.model before
+it is allocated.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .model import (
     NAMED_QUBIT_STATES,
     IndirectModel,
     _graded_meter,
+    _require_unitary,
     build_shift_model,
     build_sigma_phi,
     named_qubit_state,
@@ -88,6 +92,14 @@ class ScenarioError(ValueError):
     def __init__(self, message: str, path: str = ""):
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
+
+
+def _at(path: str, fn: Callable, *args):
+    """fn(*args); a ValueError it raises becomes a ScenarioError at path."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        raise ScenarioError(str(e), path) from None
 
 
 class _BriefRepr(reprlib.Repr):
@@ -161,6 +173,11 @@ def _complex_vector(obj: Any, path: str) -> np.ndarray:
     return np.array([_complex_pair(e, f"{path}[{i}]") for i, e in enumerate(obj)], dtype=complex)
 
 
+def _unit_vector(obj: Any, path: str) -> np.ndarray:
+    """State amplitudes that pass PureState's check, read-only."""
+    return _at(path, PureState, _complex_vector(obj, path)).amplitudes
+
+
 def _complex_matrix(obj: Any, path: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ScenarioError("expected a non-empty list of rows", path)
@@ -170,6 +187,10 @@ def _complex_matrix(obj: Any, path: str) -> np.ndarray:
         if r.size != n:
             raise ScenarioError(f"row {i} has length {r.size}, expected {n} (square matrix)", path)
     return np.array(rows, dtype=complex)
+
+
+def _unitary(obj: Any, path: str) -> np.ndarray:
+    return _at(path, _require_unitary, _complex_matrix(obj, path))
 
 
 def vector_pairs(amps: np.ndarray) -> list[list[float]]:
@@ -182,13 +203,12 @@ def matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
 
 # The model fields of each family in schema order: (read from JSON, write to JSON).
 _POSITIVE_INTEGER = (_positive_integer, int)
-_VECTOR = (_complex_vector, vector_pairs)
-_MATRIX = (_complex_matrix, matrix_pairs)
+_UNIT_VECTOR = (_unit_vector, vector_pairs)
 _MODEL_FIELDS = {
     "sigma_phi": {"phi_degrees": (_number, float)},
-    "shift": {"probe_dim": _POSITIVE_INTEGER, "probe_state": _VECTOR},
-    "explicit": {"object_dim": _POSITIVE_INTEGER, "unitary": _MATRIX,
-                 "probe_state": _VECTOR, "meter": _MATRIX},
+    "shift": {"probe_dim": _POSITIVE_INTEGER, "probe_state": _UNIT_VECTOR},
+    "explicit": {"object_dim": _POSITIVE_INTEGER, "unitary": (_unitary, matrix_pairs),
+                 "probe_state": _UNIT_VECTOR, "meter": (_complex_matrix, matrix_pairs)},
 }
 
 
@@ -248,10 +268,7 @@ def _value_map(spec: Any, path: str) -> Callable[[IndirectModel], IndirectModel]
         elif head == "center_on_meter_mean":
             mean = float(expectation(model.probe_state, model.meter.matrix).real)
             model = rescale_mvo(model, lambda v: v - mean)
-        try:
-            values = model.measurement_values
-        except ValueError as e:
-            raise ScenarioError(str(e), path) from None
+        values = _at(path, lambda: model.measurement_values)
         _bounded(np.concatenate(values), "measurement value", path)
         return model
 
@@ -315,8 +332,19 @@ def scenario_from_dict(doc: Any) -> Scenario:
             f"{_brief(params['probe_dim'])}",
             "scenario.model.probe_state",
         )
+    if family == "explicit":
+        object_dim, probe_dim = params["object_dim"], params["probe_state"].size
+        if params["unitary"].shape[0] != object_dim * probe_dim:
+            raise ScenarioError(
+                f"unitary dim {params['unitary'].shape[0]} != object_dim * probe dim "
+                f"{_brief(object_dim * probe_dim)}",
+                "scenario.model.unitary",
+            )
+        if params["meter"].shape[0] != probe_dim:
+            raise ScenarioError(f"meter dim {params['meter'].shape[0]} != probe dim {probe_dim}",
+                                "scenario.model.meter")
 
-    state_spec = _spec(top["state"], "scenario.state", "state", NAMED_QUBIT_STATES, _complex_vector)
+    state_spec = _spec(top["state"], "scenario.state", "state", NAMED_QUBIT_STATES, _unit_vector)
     oobj = _require_dict(top["observables"], "scenario.observables")
     _check_keys(oobj, "scenario.observables", required={"x0", "y0"})
     x0_spec, y0_spec = (
@@ -370,10 +398,7 @@ def parse_scenario(text: str) -> Scenario:
 def _resolve_observable(spec: str | np.ndarray, path: str) -> HermitianObservable:
     if isinstance(spec, str):
         return pauli_observable(spec)
-    try:
-        obs = herm_eig(spec)
-    except ValueError as e:
-        raise ScenarioError(str(e), path) from None
+    obs = _at(path, herm_eig, spec)
     _bounded(obs.eigenvalues, "spectral norm", path)
     return obs
 
@@ -385,10 +410,7 @@ def _resolve_state(spec: str | np.ndarray, dim: int, path: str) -> PureState:
         return named_qubit_state(spec)
     if spec.size != dim:
         raise ScenarioError(f"state length {spec.size} != object dim {dim}", path)
-    try:
-        return PureState(spec)
-    except ValueError as e:
-        raise ScenarioError(str(e), path) from None
+    return PureState._trusted(spec)  # normalized when scenario_from_dict read it
 
 
 def apply_value_map(model: IndirectModel, spec: str) -> IndirectModel:
@@ -401,63 +423,33 @@ def apply_value_map(model: IndirectModel, spec: str) -> IndirectModel:
 
 
 def build_model(family: str, params: dict, x0: HermitianObservable) -> IndirectModel:
-    """Realize a model family from its parameters (as in Scenario.model_params).
+    """Assemble a model family from its parameters, as in Scenario.model_params.
 
-    x0 is the object observable: its dimension must fit the family, and the
-    shift family reads it out.  Every rejection is a ScenarioError naming
-    the offending field.
+    The params come from scenario_from_dict, which checks each field and how
+    the fields fit, or are valid by construction, as the search's are; their
+    parts are assembled unchecked.  What is left needs the object observable
+    x0: its dimension must fit the family, and the shift family reads it
+    out.  Every rejection is a ScenarioError naming the offending field.
     """
     if family == "sigma_phi":
         if x0.dim != 2:
             raise ScenarioError("sigma_phi is a qubit model; observables must be 2x2",
                                 "scenario.observables")
         return build_sigma_phi(math.radians(params["phi_degrees"]))
-    probe_amps = params["probe_state"]
-    if family == "explicit":
-        object_dim = params["object_dim"]
-        if params["unitary"].shape[0] != object_dim * probe_amps.size:
-            raise ScenarioError(
-                f"unitary dim {params['unitary'].shape[0]} != object_dim * probe dim "
-                f"{_brief(object_dim * probe_amps.size)}",
-                "scenario.model.unitary",
-            )
-        if params["meter"].shape[0] != probe_amps.size:
-            raise ScenarioError(
-                f"meter dim {params['meter'].shape[0]} != probe dim {probe_amps.size}",
-                "scenario.model.meter",
-            )
-    try:
-        probe = PureState(probe_amps)
-    except ValueError as e:
-        raise ScenarioError(str(e), "scenario.model.probe_state") from None
+    probe = PureState._trusted(params["probe_state"])
     if family == "shift":
-        try:
-            return build_shift_model(x0, params["probe_dim"], probe)
-        except ValueError as e:
-            raise ScenarioError(str(e), "scenario.model") from None
-    # explicit; the search's graded meter diag(0..p-1) is eigendecomposed once per p
-    if np.array_equal(params["meter"], np.diag(np.arange(probe_amps.size))):
-        meter = _graded_meter(probe_amps.size)
-    else:
-        try:
-            meter = herm_eig(params["meter"])
-        except ValueError as e:
-            raise ScenarioError(str(e), "scenario.model.meter") from None
-    try:
-        model = IndirectModel(
-            object_dim=object_dim,
-            probe_dim=probe_amps.size,
-            unitary=params["unitary"],
-            probe_state=probe,
-            meter=meter,
-        )
-    except ValueError as e:
-        raise ScenarioError(str(e), "scenario.model") from None
+        return _at("scenario.model", build_shift_model, x0, params["probe_dim"], probe)
+    object_dim = params["object_dim"]
     if x0.dim != object_dim:
         raise ScenarioError(
             f"observable dim {x0.dim} != object_dim {object_dim}", "scenario.observables"
         )
-    return model
+    # the search's graded meter diag(0..p-1) is eigendecomposed once per p
+    if np.array_equal(params["meter"], np.diag(np.arange(probe.dim))):
+        meter = _graded_meter(probe.dim)
+    else:
+        meter = _at("scenario.model.meter", herm_eig, params["meter"])
+    return IndirectModel._trusted(object_dim, probe.dim, params["unitary"], probe, meter)
 
 
 def build_configuration(sc: Scenario) -> BuiltConfiguration:

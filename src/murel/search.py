@@ -16,11 +16,12 @@ the search evaluated, and the replayed slack is bit-identical.  Each built
 model travels with its candidate: a refine step that moves only object-state
 coordinates reuses its parent's model, which is the very ``build_model``
 result a rebuild would give, so reuse changes neither the stream nor replay.
-The states the search draws or parameterizes are unit-norm by construction
-and are not re-validated.  A refine candidate whose parameters equal the
-incumbent's (a coordinate clamped at its bound) is the incumbent: it takes
-the incumbent's slack without being built or evaluated, and counts as an
-unproductive step.  ``SearchResult.evaluations`` counts stream positions,
+The states and Haar unitaries the search draws or parameterizes are valid
+by construction, so ``build_model`` assembles them unchecked; a fixed shift
+probe is checked once, at entry.  A refine candidate whose parameters equal
+the incumbent's (a coordinate clamped at its bound) is the incumbent: it
+takes the incumbent's slack without being built or evaluated, and counts as
+an unproductive step.  ``SearchResult.evaluations`` counts stream positions,
 these included, so it equals the budget.
 
 RNG policy: one PCG64 generator, ``numpy.random.default_rng(seed)``, feeds
@@ -39,6 +40,7 @@ from .linalg import PureState
 from .model import IndirectModel, _graded_meter, _pointer_window
 from .relations import DEFAULT_TOL, RelationId, RelationVerdict, check
 from .scenario import (
+    _at,
     _resolve_observable,
     _tolerance,
     _value_map,
@@ -125,10 +127,7 @@ def random_model(object_dim: int, probe_dim: int, rng: np.random.Generator) -> I
     """Haar-random interaction with a Haar-random probe and an integer-graded meter."""
     _check_random_dims(object_dim, probe_dim)
     u, probe = _random_interaction(object_dim, probe_dim, rng)
-    return IndirectModel(
-        object_dim=object_dim, probe_dim=probe_dim, unitary=u, probe_state=probe,
-        meter=_graded_meter(probe_dim),
-    )
+    return IndirectModel._trusted(object_dim, probe_dim, u, probe, _graded_meter(probe_dim))
 
 
 def state_from_angles(dim: int, angles) -> PureState:
@@ -229,7 +228,7 @@ class _SpaceImpl:
             if hi < lo:
                 raise ValueError(f"probe_dim {self.probe_dim} leaves no pointer level free of wraparound")
             if space.probe_state is not None:
-                self.fixed_probe = np.array(space.probe_state, dtype=complex)
+                self.fixed_probe = _at("SearchSpace.probe_state", PureState, space.probe_state).amplitudes
                 build_model("shift", {"probe_dim": self.probe_dim, "probe_state": self.fixed_probe},
                             self.x0)  # fail fast
                 self.bounds = list(state_b)

@@ -6,6 +6,7 @@ stderr.  Search flags are validated before the first evaluation.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -89,3 +90,29 @@ def test_search_value_map_overflow_exits_1_on_the_first_candidate(capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage error: SearchSpace.value_map_spec: measurement value ")
     assert captured.err.count("\n") == 1
+
+
+def test_unwritable_witness_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing-dir" / "witness.json"
+    code = main([*SEARCH, "--budget", "5", "--witness-out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: cannot write witness file ")
+    assert captured.err.count("\n") == 1
+    assert not path.exists()
+
+
+def test_shift_search_past_the_register_bound_exits_1_without_allocating(capsys):
+    """2 x 10^8 pointer levels are refused before any per-level array is laid out."""
+    tracemalloc.start()
+    try:
+        code = main([*SEARCH, "--budget", "5", "--probe-dim", "100000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "usage error: object dim 2 * probe_dim 100000000 exceeds the shift bound 256\n"
+    assert peak < 2**20

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
+import warnings
 
 import pytest
 
@@ -181,3 +183,47 @@ def test_metrics_on_x0_of_norm_1e6_exits_0(capsys, tmp_path):
         assert code == 0 and captured.err == ""
         sigmas.append(json.loads(captured.out)["sigma_x0"])
     assert sigmas[1] == pytest.approx(1e6 * sigmas[0], rel=1e-12)
+
+
+# 1e200 entries overflow a state's norm to inf, and U^dag U to inf and nan.
+OVERFLOWING_CHECKS = {
+    "state": ({**BASE, "state": [[1e200, 0], [0, 0]]}, r"state: state not normalized: \|\|psi\|\| = inf"),
+    "probe_state": (
+        {**BASE, "model": {"family": "shift", "probe_dim": 2, "probe_state": [[1e200, 0], [0, 0]]}},
+        r"model\.probe_state: state not normalized: \|\|psi\|\| = inf",
+    ),
+    "unitary": (
+        {**BASE, "model": {"family": "explicit", "object_dim": 2, "unitary": [[[1e200, 1e200]] * 4] * 4,
+                           "probe_state": [[1, 0], [0, 0]], "meter": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}},
+        r"model\.unitary: non-unitary interaction \(max \|U\^dag U - I\| = (nan|inf)\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc,message", OVERFLOWING_CHECKS.values(), ids=OVERFLOWING_CHECKS)
+def test_field_check_that_overflows_is_one_scenario_error(doc, message):
+    """An inf or nan from the check rejects the field, and numpy warns of no overflow."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match=rf"^scenario\.{message}$"):
+            scenario_from_dict(doc)
+
+
+def test_shift_register_past_the_bound_exits_2_without_allocating(capsys, tmp_path):
+    """Probe dim 5000 would take a 1.6 GB interaction; it is refused before the build."""
+    probe = [[0, 0]] * 5000
+    probe[1] = [1, 0]
+    doc = {**BASE, "model": {"family": "shift", "probe_dim": 5000, "probe_state": probe},
+           "observables": {"x0": "sigma_z", "y0": "sigma_y"}}
+    path = tmp_path / "register.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err == "scenario error: scenario.model: object dim 2 * probe_dim 5000 exceeds the shift bound 256\n"
+    assert peak < 2**24

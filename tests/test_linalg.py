@@ -205,6 +205,15 @@ class TestEigenClusters:
         assert len(clusters) == 1
         assert list(clusters[0][1]) == [0, 1, 2]
 
+    def test_observable_clusters_its_spectrum_once(self):
+        obs = herm_eig(np.diag([1.0, 0.0, 1.0 + 1e-12, 2.0]))
+        clusters = obs._clusters
+        assert obs._clusters is clusters
+        assert [(v, idx.tolist()) for v, idx in clusters] == [
+            (v, idx.tolist()) for v, idx in eigen_clusters(obs.eigenvalues)
+        ]
+        assert not any(idx.flags.writeable for _, idx in clusters)
+
 
 @st.composite
 def seeded_hermitian_pair(draw):

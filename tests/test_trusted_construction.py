@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +29,8 @@ from murel.model import (
     sigma_phi_matrix,
 )
 from murel.scenario import build_model
-from murel.search import haar_unitary, random_pure_state, state_from_angles
+from murel.search import haar_unitary, random_model, random_pure_state, search_min_slack, state_from_angles
+from test_model_reuse import BUDGET, CASES
 
 SEEDS = st.integers(0, 2**31 - 1)
 ANGLES = st.floats(-10.0, 10.0, allow_nan=False)
@@ -162,3 +164,25 @@ def test_explicit_graded_meter_is_bit_equal_to_its_eigendecomposition(object_dim
     for field in ("matrix", "eigenvalues", "eigenvectors"):
         assert same_bits(getattr(meter, field), getattr(reference, field))
     validated_observable(meter)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 4), SEEDS)
+def test_random_model_passes_the_model_validator(object_dim, probe_dim, seed):
+    validated_model(random_model(object_dim, probe_dim, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("case", CASES)
+def test_the_search_runs_no_container_validator(monkeypatch, case, seed):
+    """Only a fixed shift probe is validated, once, as the search starts."""
+    calls = {PureState: 0, IndirectModel: 0}
+    for cls in calls:
+        def counting_post_init(self, cls=cls, post_init=cls.__post_init__):
+            calls[cls] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting_post_init)
+    space, relation = CASES[case]
+    search_min_slack(relation, space, BUDGET, seed)
+    assert calls == {PureState: int(space.probe_state is not None), IndirectModel: 0}
