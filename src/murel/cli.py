@@ -8,8 +8,8 @@ slack).  All data output goes to stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -165,7 +165,7 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     rows = []
     for value in grid:
-        doc = copy.deepcopy(sc.document)
+        doc = sc.document
         doc["model"][args.param] = value
         cfg = build_configuration(scenario_from_dict(doc))
         rows.append(
@@ -179,15 +179,7 @@ def cmd_sweep(args) -> int:
 def cmd_check(args) -> int:
     cfg = build_configuration(_load_scenario(args.scenario_file))
     v = check(args.relation, cfg.model, cfg.state, cfg.x0, cfg.y0, tol=cfg.tolerance)
-    record = {
-        "relation_id": v.relation_id,
-        "lhs": v.lhs,
-        "rhs": v.rhs,
-        "slack": v.slack,
-        "holds": v.holds,
-        "tol": v.tol,
-    }
-    _emit_record(record, args.format)
+    _emit_record(dataclasses.asdict(v), args.format)
     return EXIT_OK
 
 
@@ -196,6 +188,8 @@ def cmd_search(args) -> int:
     probe_dim = args.probe_dim
     if probe_dim is None:
         probe_dim = 4 if family is Family.SHIFT else 2
+    if family is Family.SIGMA_PHI and (args.object_dim, probe_dim) != (2, 2):
+        raise _UsageError("sigma_phi is a qubit model: --object-dim and --probe-dim must be 2")
     space = SearchSpace(
         family=family,
         object_dim=args.object_dim,

@@ -27,6 +27,7 @@ from .linalg import HermitianObservable, MixedState, PureState, spectral_norm
 from .model import (
     ZERO_PROB,
     IndirectModel,
+    _check_fit,
     _matched_readout,
     calibrated_outcomes,
     evolved_amplitudes,
@@ -141,10 +142,7 @@ class Evaluation:
     def __init__(
         self, model: IndirectModel, state: PureState, x0: HermitianObservable, y0: HermitianObservable
     ):
-        if state.dim != model.object_dim:
-            raise ValueError(f"object state dim {state.dim} != model object dim {model.object_dim}")
-        if x0.dim != model.object_dim or y0.dim != model.object_dim:
-            raise ValueError("observable dims do not match the model object dim")
+        _check_fit(model, state, x0, y0)
         self.model, self.x0, self._y0 = model, x0, y0
         psi = state.amplitudes
         x_psi, y_psi = x0.matrix @ psi, y0.matrix @ psi

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    DEGENERACY_GAP,
     HermitianObservable,
     MixedState,
     PureState,
@@ -51,8 +52,8 @@ __all__ = [
 
 UNITARITY_ATOL = 1e-10
 POPULATED_ATOL = 1e-12  # probe amplitudes above this count as populated
-READOUT_MERGE_GAP = 1e-9
-ZERO_PROB = 1e-12
+READOUT_MERGE_GAP = 1e-9  # calibrated measurement values this close are one value
+ZERO_PROB = 1e-12  # a readout at or below this probability is impossible
 # Bound on the shift family's object_dim * probe_dim: its interaction matrix
 # of 256^2 complex entries takes 1 MiB, and criterion 08b's 2 x 34 fits.
 MAX_SHIFT_DIM = 256
@@ -191,10 +192,17 @@ class EvolvedOperators:
     mvo_xt: np.ndarray
 
 
+def _check_fit(model: IndirectModel, state: PureState | None, x0=None, y0=None) -> None:
+    """Reject an object state, or an x0/y0 pair, that does not act on the model's object."""
+    if state is not None and state.dim != model.object_dim:
+        raise ValueError(f"object state dim {state.dim} != model object dim {model.object_dim}")
+    if x0 is not None and (x0.dim != model.object_dim or y0.dim != model.object_dim):
+        raise ValueError("observable dims do not match the model object dim")
+
+
 def composite_input(model: IndirectModel, state: PureState) -> np.ndarray:
     """Amplitudes of the joint input state, object factor first."""
-    if state.dim != model.object_dim:
-        raise ValueError(f"object state dim {state.dim} != model object dim {model.object_dim}")
+    _check_fit(model, state)
     return np.kron(state.amplitudes, model.probe_state.amplitudes)
 
 
@@ -211,8 +219,7 @@ def evolve(model: IndirectModel, x0: HermitianObservable, y0: HermitianObservabl
     and f(X_t) = U^dag (I (x) f(M)) U = W^dag diag(f(m_k)) W weights W's rows;
     no joint-space operator is built as a Kronecker product or eigendecomposed.
     """
-    if x0.dim != model.object_dim or y0.dim != model.object_dim:
-        raise ValueError("observable dims do not match the model object dim")
+    _check_fit(model, None, x0, y0)
     o, p, d = model.object_dim, model.probe_dim, model.dim
     w = model.meter.eigenvectors.conj().T @ model.unitary.reshape(o, p, d)
     wh = w.reshape(d, d).conj().T
@@ -248,14 +255,17 @@ def _graded_meter(probe_dim: int) -> HermitianObservable:
 
 
 def _pointer_window(x0: HermitianObservable, probe_dim: int) -> tuple[int, int]:
-    """Pointer levels [lo, hi] that no shift by an integer x0 eigenvalue moves off the register."""
+    """Pointer levels [lo, hi], never empty, that no shift by an integer x0 eigenvalue moves off the register."""
     if x0.dim * probe_dim > MAX_SHIFT_DIM:
         raise ValueError(f"object dim {x0.dim} * probe_dim {probe_dim} exceeds the shift bound {MAX_SHIFT_DIM}")
     eigs = x0.eigenvalues
     rounded = np.round(eigs)
     if max_abs(eigs - rounded) > 1e-9:
         raise ValueError(f"observable spectrum is not integer: {eigs.tolist()!r}")
-    return max(0, -int(rounded[0])), min(probe_dim - 1, probe_dim - 1 - int(rounded[-1]))
+    lo, hi = max(0, -int(rounded[0])), min(probe_dim - 1, probe_dim - 1 - int(rounded[-1]))
+    if hi < lo:
+        raise ValueError(f"probe_dim {probe_dim} leaves no pointer level free of wraparound")
+    return lo, hi
 
 
 def build_shift_model(
@@ -338,8 +348,7 @@ def evolved_amplitudes(model: IndirectModel, vectors: np.ndarray) -> np.ndarray:
 
 
 def _evolved_state(model: IndirectModel, state: PureState) -> np.ndarray:
-    if state.dim != model.object_dim:
-        raise ValueError(f"object state dim {state.dim} != model object dim {model.object_dim}")
+    _check_fit(model, state)
     return evolved_amplitudes(model, state.amplitudes[None, :])[0]
 
 
@@ -389,7 +398,7 @@ def outcome_probabilities(model: IndirectModel, state: PureState) -> list[tuple[
 def _matched_readout(readouts: list, readout: float) -> tuple[np.ndarray, float]:
     """(coefficients, probability) of the readout cluster at a raw meter eigenvalue of nonzero probability."""
     for value, coeffs, prob in readouts:
-        if abs(value - readout) <= READOUT_MERGE_GAP:
+        if abs(value - readout) <= DEGENERACY_GAP:
             if prob <= ZERO_PROB:
                 raise ValueError(f"readout {readout!r} has probability {prob!r}; conditioning undefined")
             return coeffs, prob

@@ -12,12 +12,12 @@ from enum import Enum
 
 from .linalg import HermitianObservable, PureState
 from .metrics import Evaluation
-from .model import EvolvedOperators, IndirectModel
+from .model import ZERO_PROB, EvolvedOperators, IndirectModel
 
 __all__ = ["RelationId", "RelationVerdict", "check", "check_all", "verdicts"]
 
 DEFAULT_TOL = 1e-9
-READOUT_FLOOR = 1e-12  # SQL_COND_E3 skips readouts at or below this probability
+READOUT_FLOOR = ZERO_PROB  # SQL_COND_E3 skips readouts at or below this probability
 
 
 class RelationId(str, Enum):

@@ -18,6 +18,7 @@ from typing import Any
 import numpy as np
 
 from .metrics import Evaluation
+from .model import READOUT_MERGE_GAP
 from .relations import RelationId, verdicts
 from .scenario import BuiltConfiguration, build_configuration, make_scenario_doc, scenario_from_dict, vector_pairs
 
@@ -31,7 +32,6 @@ __all__ = [
 ]
 
 REPORT_HEADER_COMMENT = "# murel report schema_version=1"
-PROB_MATCH_ATOL = 1e-9
 
 _METRIC_COLUMNS = [
     "eps_x0",
@@ -100,9 +100,9 @@ def configuration_row(
     row["param_value"] = param_value
     row["outcomes"] = _outcome_string(pairs)
     values = [v for v, _ in pairs]
-    if len(values) <= 2 and all(min(abs(v - 1.0), abs(v + 1.0)) <= PROB_MATCH_ATOL for v in values):
-        plus = sum(p for v, p in pairs if abs(v - 1.0) <= PROB_MATCH_ATOL)
-        minus = sum(p for v, p in pairs if abs(v + 1.0) <= PROB_MATCH_ATOL)
+    if len(values) <= 2 and all(min(abs(v - 1.0), abs(v + 1.0)) <= READOUT_MERGE_GAP for v in values):
+        plus = sum(p for v, p in pairs if abs(v - 1.0) <= READOUT_MERGE_GAP)
+        minus = sum(p for v, p in pairs if abs(v + 1.0) <= READOUT_MERGE_GAP)
         row["p_plus"] = float(plus)
         row["p_minus"] = float(minus)
 

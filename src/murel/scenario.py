@@ -1,8 +1,8 @@
 """Scenario documents: strict JSON descriptions of one measurement setup.
 
-Schema (schema_version 1).  Unknown keys are rejected everywhere; complex
-numbers are written as [re, im] pairs; angles are given in degrees under the
-key "phi_degrees".
+Schema (schema_version 1).  Unknown and repeated keys are rejected
+everywhere; complex numbers are written as [re, im] pairs; angles are given
+in degrees under the key "phi_degrees".
 
     {
       "schema_version": 1,
@@ -277,7 +277,7 @@ def _value_map(spec: Any, path: str) -> Callable[[IndirectModel], IndirectModel]
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Parsed scenario; `document` is the normalized JSON-ready form."""
+    """Parsed scenario; `document` writes its normalized JSON-ready form."""
 
     schema_version: int
     scenario_id: str | None
@@ -289,7 +289,15 @@ class Scenario:
     value_map_spec: str
     tolerance: float
     seed: int
-    document: dict
+
+    @property
+    def document(self) -> dict:
+        """The normalized document of these fields, written afresh on each read."""
+        return make_scenario_doc(
+            family=self.family, model_params=self.model_params, state_spec=self.state_spec,
+            x0_spec=self.x0_spec, y0_spec=self.y0_spec, value_map_spec=self.value_map_spec,
+            tolerance=self.tolerance, seed=self.seed, scenario_id=self.scenario_id,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +307,6 @@ class BuiltConfiguration:
     x0: HermitianObservable
     y0: HermitianObservable
     tolerance: float
-    seed: int
     scenario: Scenario
 
 
@@ -355,18 +362,6 @@ def scenario_from_dict(doc: Any) -> Scenario:
     _value_map(value_map_spec, "scenario.value_map")
     tolerance = _tolerance(top.get("tolerance", DEFAULT_TOL), "scenario.tolerance")
     seed = _integer(top.get("seed", 0), "scenario.seed")
-
-    document = make_scenario_doc(
-        family=family,
-        model_params=params,
-        state_spec=state_spec,
-        x0_spec=x0_spec,
-        y0_spec=y0_spec,
-        value_map_spec=value_map_spec,
-        tolerance=tolerance,
-        seed=seed,
-        scenario_id=scenario_id,
-    )
     return Scenario(
         schema_version=version,
         scenario_id=scenario_id,
@@ -378,14 +373,25 @@ def scenario_from_dict(doc: Any) -> Scenario:
         value_map_spec=value_map_spec,
         tolerance=tolerance,
         seed=seed,
-        document=document,
     )
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object's dict; a repeated key, which json.loads would resolve silently, is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioError(f"duplicate key {_brief(key)}")
+        obj[key] = value
+    return obj
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario JSON text; syntax errors carry line/column positions."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except ScenarioError:
+        raise
     except json.JSONDecodeError as e:
         raise ScenarioError(f"syntax error at line {e.lineno} column {e.colno}: {e.msg}") from None
     except RecursionError:
@@ -465,7 +471,7 @@ def build_configuration(sc: Scenario) -> BuiltConfiguration:
     model = apply_value_map(model, sc.value_map_spec)
     return BuiltConfiguration(
         model=model, state=state, x0=x0, y0=y0,
-        tolerance=sc.tolerance, seed=sc.seed, scenario=sc,
+        tolerance=sc.tolerance, scenario=sc,
     )
 
 

@@ -225,8 +225,6 @@ class _SpaceImpl:
             self.n_model_params = 1
         elif self.family is Family.SHIFT:
             lo, hi = self.window = _pointer_window(self.x0, self.probe_dim)
-            if hi < lo:
-                raise ValueError(f"probe_dim {self.probe_dim} leaves no pointer level free of wraparound")
             if space.probe_state is not None:
                 self.fixed_probe = _at("SearchSpace.probe_state", PureState, space.probe_state).amplitudes
                 build_model("shift", {"probe_dim": self.probe_dim, "probe_state": self.fixed_probe},

@@ -116,3 +116,24 @@ def test_shift_search_past_the_register_bound_exits_1_without_allocating(capsys)
     assert captured.out == ""
     assert captured.err == "usage error: object dim 2 * probe_dim 100000000 exceeds the shift bound 256\n"
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("dims", [["--object-dim", "4", "--probe-dim", "3"], ["--object-dim", "3"],
+                                  ["--probe-dim", "4"]], ids=["4x3", "object-3", "probe-4"])
+def test_sigma_phi_search_with_other_dims_is_a_usage_error(capsys, monkeypatch, dims):
+    """sigma_phi is a qubit model; a dimension other than 2 is refused, not ignored."""
+    monkeypatch.setattr(_SpaceImpl, "evaluate", _no_evaluation)
+    code = main(["search", "--relation", "HEISENBERG_E1", "--family", "sigma_phi", "--budget", "30",
+                 "--seed", "0", *dims])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: sigma_phi ")
+    assert captured.err.count("\n") == 1
+
+
+def test_sigma_phi_search_with_qubit_dims_runs(capsys):
+    code = main(["search", "--relation", "HEISENBERG_E1", "--family", "sigma_phi", "--budget", "5",
+                 "--seed", "0", "--object-dim", "2", "--probe-dim", "2"])
+    assert code == 0
+    assert capsys.readouterr().err == ""

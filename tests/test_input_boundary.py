@@ -227,3 +227,41 @@ def test_shift_register_past_the_bound_exits_2_without_allocating(capsys, tmp_pa
     assert out == ""
     assert err == "scenario error: scenario.model: object dim 2 * probe_dim 5000 exceeds the shift bound 256\n"
     assert peak < 2**24
+
+
+DUPLICATE_KEYS = {
+    "top-level": (
+        json.dumps({**BASE, "tolerance": 1e-9})[:-1] + ', "tolerance": 0.5}',
+        "scenario error: duplicate key 'tolerance'\n",
+    ),
+    "nested": (
+        _with_phi('40, "phi_degrees": 90'),
+        "scenario error: duplicate key 'phi_degrees'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("text,stderr", DUPLICATE_KEYS.values(), ids=DUPLICATE_KEYS)
+def test_duplicate_key_is_a_scenario_error(capsys, tmp_path, text, stderr):
+    """json.loads would keep the last value; a scenario with a repeated key is rejected."""
+    path = tmp_path / "duplicate.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, path)
+    assert code == 2
+    assert out == ""
+    assert err == stderr
+
+
+@pytest.mark.parametrize("magnitude", [1e20, 1e140])
+def test_shift_x0_that_leaves_no_pointer_level_is_one_short_line(capsys, tmp_path, magnitude):
+    """Shifts 0 and 10^20 (or 10^140) leave a 4-level register no window; the diagnostic prints no bound."""
+    doc = {**BASE, "model": {"family": "shift", "probe_dim": 4,
+                             "probe_state": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+           "observables": {"x0": [[[magnitude, 0], [0, 0]], [[0, 0], [0, 0]]], "y0": "sigma_y"}}
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = _run(capsys, path)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and len(err) < 200
+    assert "no pointer level" in err

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_pure, random_state_vector
 import murel.model as model_module
 from murel.linalg import PureState, expectation, herm_eig, max_abs, tensor
+from murel.metrics import Evaluation
 from murel.model import (
     ID2,
     PAULI_X,
@@ -304,3 +305,29 @@ def test_named_objects_and_sigma_phi_are_built_once(monkeypatch):
     assert m.probe_state is named_qubit_state("+z")
     assert pauli_observable("sigma_y") is pauli_observable("sigma_y")
     assert named_qubit_state("-y") is named_qubit_state("-y")
+
+
+QUTRIT_STATE = PureState(np.array([1.0, 0.0, 0.0], dtype=complex))
+QUTRIT_OBSERVABLE = herm_eig(np.diag([0.0, 1.0, 2.0]))
+STATE_MISFITS = {
+    "composite_input": lambda m: composite_input(m, QUTRIT_STATE),
+    "readout_probabilities": lambda m: readout_probabilities(m, QUTRIT_STATE),
+    "conditional_post_state": lambda m: conditional_post_state(m, QUTRIT_STATE, 1.0),
+    "Evaluation": lambda m: Evaluation(m, QUTRIT_STATE, SX, SY),
+}
+OBSERVABLE_MISFITS = {
+    "evolve": lambda m: evolve(m, QUTRIT_OBSERVABLE, SY),
+    "Evaluation": lambda m: Evaluation(m, named_qubit_state("+x"), SX, QUTRIT_OBSERVABLE),
+}
+
+
+@pytest.mark.parametrize("call", STATE_MISFITS.values(), ids=STATE_MISFITS)
+def test_a_state_that_does_not_fit_the_object_is_rejected_with_one_message(call):
+    with pytest.raises(ValueError, match=r"^object state dim 3 != model object dim 2$"):
+        call(build_sigma_phi(0.3))
+
+
+@pytest.mark.parametrize("call", OBSERVABLE_MISFITS.values(), ids=OBSERVABLE_MISFITS)
+def test_an_observable_that_does_not_fit_the_object_is_rejected_with_one_message(call):
+    with pytest.raises(ValueError, match=r"^observable dims do not match the model object dim$"):
+        call(build_sigma_phi(0.3))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -78,6 +79,12 @@ class TestRoundTrip:
         assert sc.tolerance == 1e-9
         assert sc.seed == 0
         assert sc.scenario_id is None
+
+    def test_document_is_written_from_the_fields_it_describes(self):
+        sc = scenario_from_dict(sigma_phi_doc(phi=40.0))
+        moved = dataclasses.replace(sc, model_params={"phi_degrees": 90.0})
+        assert moved.document == sigma_phi_doc(phi=90.0)
+        assert sc.document == sigma_phi_doc(phi=40.0)
 
 
 class TestStrictness:
