@@ -140,7 +140,7 @@ def cmd_metrics(args) -> int:
 
 def _parse_grid(text: str) -> list[float]:
     if not text.strip():
-        return []
+        raise _UsageError("--grid is empty: give comma-separated values, e.g. 0,40,90")
     values = []
     for part in text.split(","):
         try:
@@ -171,8 +171,7 @@ def cmd_sweep(args) -> int:
         rows.append(
             configuration_row(cfg, section="sweep", param_name=args.param, param_value=value)
         )
-    if rows:
-        _emit_rows(rows, args.format)
+    _emit_rows(rows, args.format)
     return EXIT_OK
 
 
@@ -190,6 +189,8 @@ def cmd_search(args) -> int:
         probe_dim = 4 if family is Family.SHIFT else 2
     if family is Family.SIGMA_PHI and (args.object_dim, probe_dim) != (2, 2):
         raise _UsageError("sigma_phi is a qubit model: --object-dim and --probe-dim must be 2")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     space = SearchSpace(
         family=family,
         object_dim=args.object_dim,

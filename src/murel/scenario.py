@@ -43,6 +43,7 @@ import json
 import math
 import reprlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable
 
 import numpy as np
@@ -167,9 +168,28 @@ def _complex_pair(obj: Any, path: str) -> complex:
     return complex(_number(obj[0], f"{path}[0]"), _number(obj[1], f"{path}[1]"))
 
 
+def _plain_pairs(pairs: list) -> np.ndarray | None:
+    """A list of [re, im] lists of finite floats as a complex vector, read in C.
+
+    None for anything else, which the per-element reader then reads or
+    rejects.  The leaf types are checked before numpy sees them, because
+    np.array would turn true into 1.0 and "1.5" into 1.5.
+    """
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    leaves = list(chain.from_iterable(pairs))
+    # a non-finite leaf, or finite ones whose sum overflows, leave it to the per-element reader
+    if set(map(type, leaves)) != {float} or not math.isfinite(sum(leaves)):
+        return None
+    return np.array(leaves).view(np.complex128)
+
+
 def _complex_vector(obj: Any, path: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ScenarioError("expected a non-empty list of [re, im] pairs", path)
+    fast = _plain_pairs(obj)
+    if fast is not None:
+        return fast
     return np.array([_complex_pair(e, f"{path}[{i}]") for i, e in enumerate(obj)], dtype=complex)
 
 
@@ -181,8 +201,12 @@ def _unit_vector(obj: Any, path: str) -> np.ndarray:
 def _complex_matrix(obj: Any, path: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ScenarioError("expected a non-empty list of rows", path)
+    n = len(obj)
+    if set(map(type, obj)) == {list} and set(map(len, obj)) == {n}:
+        fast = _plain_pairs(list(chain.from_iterable(obj)))
+        if fast is not None:
+            return fast.reshape(n, n)
     rows = [_complex_vector(r, f"{path}[{i}]") for i, r in enumerate(obj)]
-    n = len(rows)
     for i, r in enumerate(rows):
         if r.size != n:
             raise ScenarioError(f"row {i} has length {r.size}, expected {n} (square matrix)", path)
@@ -194,11 +218,13 @@ def _unitary(obj: Any, path: str) -> np.ndarray:
 
 
 def vector_pairs(amps: np.ndarray) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in np.asarray(amps, dtype=complex)]
+    """The [re, im] float lists of a complex array, nested as its rows are; -0.0 keeps its sign."""
+    a = np.ascontiguousarray(amps, dtype=complex)
+    return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
 def matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    return [vector_pairs(row) for row in np.asarray(m, dtype=complex)]
+    return vector_pairs(m)
 
 
 # The model fields of each family in schema order: (read from JSON, write to JSON).
@@ -511,6 +537,83 @@ def make_scenario_doc(
     return doc
 
 
+class _NotPlainJSON(Exception):
+    """A value _indented leaves to json.dumps."""
+
+
+_float_repr = float.__repr__
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _float_lists(obj: list, nl: str) -> str | None:
+    """_indented's text of a list of floats, or of float lists of one length, in one join; else None."""
+    inner = nl + "  "
+    kinds = set(map(type, obj))
+    if kinds == {float}:
+        body = ("," + inner).join(map(_float_repr, obj))
+        opening, closing = "[" + inner, nl + "]"
+    elif kinds == {list} and len(lengths := set(map(len, obj))) == 1:
+        leaves = list(chain.from_iterable(obj))
+        if set(map(type, leaves)) != {float}:
+            return None
+        deeper = inner + "  "
+        reprs = map(_float_repr, leaves)
+        rows = zip(*[reprs] * lengths.pop())  # consecutive groups of one inner list's length
+        body = (inner + "]," + inner + "[" + deeper).join(map(("," + deeper).join, rows))
+        opening, closing = "[" + inner + "[" + deeper, inner + "]" + nl + "]"
+    else:
+        return None
+    if "n" in body:  # inf or nan, which json.dumps writes as Infinity or NaN
+        raise _NotPlainJSON
+    return opening + body + closing
+
+
+def _indented(obj: Any, nl: str) -> str:
+    """json.dumps(obj, indent=2) for plain JSON data, obj's lines indented as nl says.
+
+    Plain JSON data is exact dicts with str keys, lists, str, finite floats,
+    int, bool and None; anything else raises _NotPlainJSON.
+    """
+    kind = type(obj)
+    if kind is float:
+        if not math.isfinite(obj):
+            raise _NotPlainJSON
+        return _float_repr(obj)
+    if kind is str:
+        return _json_str(obj)
+    if kind is list:
+        if not obj:
+            return "[]"
+        text = _float_lists(obj, nl)
+        if text is not None:
+            return text
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_indented(v, inner) for v in obj]) + nl + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        if set(map(type, obj)) != {str}:
+            raise _NotPlainJSON
+        items = [_json_str(k) + ": " + _indented(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    raise _NotPlainJSON
+
+
 def scenario_to_text(doc: dict) -> str:
-    """Serialize a scenario document; floats round-trip exactly."""
-    return json.dumps(doc, indent=2) + "\n"
+    """Serialize a scenario document: exactly json.dumps(doc, indent=2) + "\n".
+
+    Floats round-trip exactly.  Plain JSON data is written by _indented,
+    which joins float lists and matrix rows in one pass each; anything else
+    is left to json.dumps (whose indented encoder is pure Python).
+    """
+    try:
+        return _indented(doc, "\n") + "\n"
+    except (_NotPlainJSON, RecursionError):
+        return json.dumps(doc, indent=2) + "\n"

@@ -112,12 +112,13 @@ class TestSweepCommand:
         assert all(r["param_name"] == "phi_degrees" for r in rows)
         assert all(r["section"] == "sweep" for r in rows)
 
-    def test_empty_grid_is_empty_success(self, capsys, scenario_file):
+    @pytest.mark.parametrize("grid", ["", "  "], ids=["empty", "blank"])
+    def test_empty_grid_is_usage_error(self, capsys, scenario_file, grid):
         code, out, err = run_cli(capsys, "sweep", scenario_file,
-                                 "--param", "phi_degrees", "--grid", "")
-        assert code == 0
+                                 "--param", "phi_degrees", "--grid", grid)
+        assert code == 1
         assert out == ""
-        assert err == ""
+        assert err == "usage error: --grid is empty: give comma-separated values, e.g. 0,40,90\n"
 
     def test_unknown_parameter_is_usage_error(self, capsys, scenario_file):
         code, _, err = run_cli(capsys, "sweep", scenario_file,

@@ -57,6 +57,9 @@ CASES = [
     ("random-unitary-object-dim-1", None, [*RANDOM_UNITARY, "--object-dim", "1"], 1),
     ("random-unitary-probe-dim-1", None, [*RANDOM_UNITARY, "--probe-dim", "1"], 1),
     ("sweep-grid-nan", _text(SCENARIO), ["sweep", "FILE", "--param", "phi_degrees", "--grid", "nan"], 2),
+    ("sweep-grid-empty", _text(SCENARIO), ["sweep", "FILE", "--param", "phi_degrees", "--grid", ""], 1),
+    ("sweep-grid-blank", _text(SCENARIO), ["sweep", "FILE", "--param", "phi_degrees", "--grid", " \t"], 1),
+    ("seed-negative", None, [*SEARCH, "--budget", "30", "--seed", "-1"], 1),
 ]
 
 
@@ -90,6 +93,16 @@ def test_search_value_map_overflow_exits_1_on_the_first_candidate(capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage error: SearchSpace.value_map_spec: measurement value ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_negative_seed_names_the_flag_and_value(capsys, monkeypatch, seed):
+    monkeypatch.setattr(_SpaceImpl, "evaluate", _no_evaluation)
+    code = main([*SEARCH, "--budget", "30", "--seed", seed])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"usage error: --seed must be a non-negative integer, got {seed}\n"
 
 
 def test_unwritable_witness_file_is_a_usage_error(capsys, tmp_path):
