@@ -8,15 +8,13 @@ slack).  All data output goes to stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
-import json
+import re
 import sys
 from pathlib import Path
 
 from . import __version__
 from .relations import DEFAULT_TOL, RelationId, check
-from .reporting import _cell, _json_value, configuration_row, render_csv, render_json_lines
+from .reporting import _table, configuration_row, render_csv, render_json_lines
 from .reporting import spin_reference_rows
 from .scenario import (
     Scenario,
@@ -43,6 +41,10 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 by default; this tool reserves 2 for
     # invalid scenarios, so usage problems are rerouted to exit code 1.
     def error(self, message):
+        # argparse reads a value such as -40,0,40 or -1e-9 as an option; the = form passes it.
+        flag = re.fullmatch(r"argument (-\S+): expected one argument", message)
+        if flag:
+            message += f" (for a value that starts with '-', write {flag[1]}=VALUE)"
         raise _UsageError(message)
 
 
@@ -119,17 +121,8 @@ def _emit_rows(rows, fmt: str) -> None:
 
 
 def _emit_record(record: dict, fmt: str) -> None:
-    """One record as a JSON line, or as a CSV header of its keys and one row.
-
-    Values are written as in report rows: a non-finite float becomes "inf", "-inf" or "nan".
-    """
-    if fmt == "json":
-        values = {k: _json_value(v) for k, v in record.items()}
-        sys.stdout.write(json.dumps(values, separators=(",", ":")) + "\n")
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(record)
-        writer.writerow(_cell(v) for v in record.values())
+    """One record as a JSON line, or as a CSV header of its keys and one row, written as report rows are."""
+    sys.stdout.write(_table([record], list(record), fmt))
 
 
 def cmd_metrics(args) -> int:
@@ -178,7 +171,7 @@ def cmd_sweep(args) -> int:
 def cmd_check(args) -> int:
     cfg = build_configuration(_load_scenario(args.scenario_file))
     v = check(args.relation, cfg.model, cfg.state, cfg.x0, cfg.y0, tol=cfg.tolerance)
-    _emit_record(dataclasses.asdict(v), args.format)
+    _emit_record(vars(v), args.format)
     return EXIT_OK
 
 
@@ -191,6 +184,8 @@ def cmd_search(args) -> int:
         raise _UsageError("sigma_phi is a qubit model: --object-dim and --probe-dim must be 2")
     if args.seed < 0:
         raise _UsageError(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.witness_out is not None and not args.witness_out.strip():
+        raise _UsageError("--witness-out is empty: give a file path")
     space = SearchSpace(
         family=family,
         object_dim=args.object_dim,

@@ -185,16 +185,16 @@ class HermitianObservable:
         return tuple((value, _freeze(idx)) for value, idx in eigen_clusters(self.eigenvalues))
 
 
-def herm_eig(a, *, atol: float = HERM_ACCEPT_ATOL) -> HermitianObservable:
+def herm_eig(a) -> HermitianObservable:
     """Eigendecompose a Hermitian matrix into a HermitianObservable.
 
-    Input may drift from exact hermiticity by up to `atol`; it is
+    Input may drift from exact hermiticity by up to HERM_ACCEPT_ATOL; it is
     symmetrized before decomposition.  Larger drift is rejected.  The
     decomposition is eigh's own, so it is not re-checked.
     """
     m = as_complex_matrix(a, name="observable")
     drift = max_abs(m - m.conj().T)
-    if drift > atol:
+    if drift > HERM_ACCEPT_ATOL:
         raise ValueError(f"matrix is not Hermitian (max |A - A^dag| = {drift!r})")
     m = (m + m.conj().T) / 2
     w, v = np.linalg.eigh(m)

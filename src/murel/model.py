@@ -254,6 +254,12 @@ def _graded_meter(probe_dim: int) -> HermitianObservable:
     return herm_eig(np.diag(np.arange(probe_dim, dtype=float)))
 
 
+def _meter_observable(matrix: np.ndarray) -> HermitianObservable:
+    """The shared _graded_meter for a meter matrix equal to diag(0..p-1), herm_eig of any other."""
+    graded = _graded_meter(len(matrix))
+    return graded if np.array_equal(matrix, graded.matrix) else herm_eig(matrix)
+
+
 def _pointer_window(x0: HermitianObservable, probe_dim: int) -> tuple[int, int]:
     """Pointer levels [lo, hi], never empty, that no shift by an integer x0 eigenvalue moves off the register."""
     if x0.dim * probe_dim > MAX_SHIFT_DIM:

@@ -3,7 +3,8 @@
 Both renderers share one fixed column set so sweeps from different runs can
 be concatenated and diffed.  Numbers are written with full round-trip
 precision (shortest repr), booleans as "true"/"false", missing values as
-empty cells (CSV) or null (JSON lines).
+empty cells (CSV) or null (JSON lines).  One table writer serves both
+renderers and the CLI's ``check`` and ``search`` records.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict
 from typing import Any
 
 import numpy as np
@@ -106,7 +106,7 @@ def configuration_row(
         row["p_plus"] = float(plus)
         row["p_minus"] = float(minus)
 
-    row.update(asdict(report))  # the report fields are metric columns of the same names
+    row.update(vars(report))  # the report fields are metric columns of the same names
     row["variance_identity_residual"] = (
         report.sigma_mvo**2 - report.sigma_x0**2 - report.eps_x0**2
     )
@@ -128,7 +128,7 @@ def _cell(value: Any) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -148,23 +148,27 @@ def _json_value(value: Any) -> Any:
     return str(value)
 
 
-def render_csv(rows: list[dict[str, Any]]) -> str:
-    """Fixed-column CSV with a schema comment line above the header."""
+def _table(rows: list[dict[str, Any]], columns: list[str], fmt: str) -> str:
+    """Rows under a column list: CSV with a header line, or ("json") one JSON object per line."""
+    if fmt == "json":
+        return "".join(
+            json.dumps({k: _json_value(row.get(k)) for k in columns}, separators=(",", ":")) + "\n"
+            for row in rows
+        )
     out = io.StringIO()
-    out.write(REPORT_HEADER_COMMENT + "\n")
-    writer = csv.DictWriter(out, fieldnames=COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _cell(row.get(k)) for k in COLUMNS})
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(row.get(k)) for k in columns] for row in rows)
     return out.getvalue()
 
 
+def render_csv(rows: list[dict[str, Any]]) -> str:
+    """Fixed-column CSV with a schema comment line above the header."""
+    return REPORT_HEADER_COMMENT + "\n" + _table(rows, COLUMNS, "csv")
+
+
 def render_json_lines(rows: list[dict[str, Any]]) -> str:
-    lines = [
-        json.dumps({k: _json_value(row.get(k)) for k in COLUMNS}, separators=(",", ":"))
-        for row in rows
-    ]
-    return "".join(line + "\n" for line in lines)
+    return _table(rows, COLUMNS, "json")
 
 
 def _spin_cfg(

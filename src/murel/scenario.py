@@ -53,7 +53,7 @@ from .model import (
     NAMED_OBSERVABLES,
     NAMED_QUBIT_STATES,
     IndirectModel,
-    _graded_meter,
+    _meter_observable,
     _require_unitary,
     build_shift_model,
     build_sigma_phi,
@@ -476,11 +476,7 @@ def build_model(family: str, params: dict, x0: HermitianObservable) -> IndirectM
         raise ScenarioError(
             f"observable dim {x0.dim} != object_dim {object_dim}", "scenario.observables"
         )
-    # the search's graded meter diag(0..p-1) is eigendecomposed once per p
-    if np.array_equal(params["meter"], np.diag(np.arange(probe.dim))):
-        meter = _graded_meter(probe.dim)
-    else:
-        meter = _at("scenario.model.meter", herm_eig, params["meter"])
+    meter = _at("scenario.model.meter", _meter_observable, params["meter"])
     return IndirectModel._trusted(object_dim, probe.dim, params["unitary"], probe, meter)
 
 
@@ -501,10 +497,8 @@ def build_configuration(sc: Scenario) -> BuiltConfiguration:
     )
 
 
-def _spec_json(spec: str | np.ndarray, kind: str):
-    if isinstance(spec, str):
-        return spec
-    return vector_pairs(spec) if kind == "vector" else matrix_pairs(spec)
+def _spec_json(spec: str | np.ndarray):
+    return spec if isinstance(spec, str) else vector_pairs(spec)
 
 
 def make_scenario_doc(
@@ -526,10 +520,10 @@ def make_scenario_doc(
     if scenario_id is not None:
         doc["id"] = scenario_id
     doc["model"] = model
-    doc["state"] = _spec_json(state_spec, "vector")
+    doc["state"] = _spec_json(state_spec)
     doc["observables"] = {
-        "x0": _spec_json(x0_spec, "matrix"),
-        "y0": _spec_json(y0_spec, "matrix"),
+        "x0": _spec_json(x0_spec),
+        "y0": _spec_json(y0_spec),
     }
     doc["value_map"] = value_map_spec
     doc["tolerance"] = float(tolerance)

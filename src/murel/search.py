@@ -9,7 +9,7 @@ stream: best_slack is monotone non-increasing in the budget and a fixed
 
 Each candidate is described as a scenario family, its model parameters and
 an object state (random_unitary describes itself as an explicit model with
-meter diag(0..p-1)).  The search evaluates the model that
+``model``'s graded meter diag(0..p-1)).  The search evaluates the model that
 ``scenario.build_model`` makes of that description and writes the witness
 document from it, so ``certify`` and ``murel check`` replay the very function
 the search evaluated, and the replayed slack is bit-identical.  Each built
@@ -67,6 +67,7 @@ MIN_STEP = 1e-6     # coordinate refinement halts below this step size
 EXPLORE_EVERY = 8   # every n-th evaluation is a fresh random draw
 RNG_NAME = "pcg64"
 MAX_RANDOM_MODEL_DIM = 16
+CERTIFY_ATOL = 1e-10  # a replayed witness slack may differ from the recorded one by this much
 
 
 class CertificationError(RuntimeError):
@@ -239,9 +240,6 @@ class _SpaceImpl:
             self.bounds = list(state_b)
         self.nparams = len(self.bounds)
 
-    def initial_steps(self) -> np.ndarray:
-        return np.array([(hi - lo) / 4.0 for lo, hi, _ in self.bounds], dtype=float)
-
     def random(self, rng: np.random.Generator) -> _Candidate:
         params = tuple(float(rng.uniform(lo, hi)) for lo, hi, _ in self.bounds)
         if self.family is Family.RANDOM_UNITARY:
@@ -278,7 +276,7 @@ class _SpaceImpl:
             return "shift", {"probe_dim": self.probe_dim, "probe_state": probe_amps}
         u, probe_amps = cand.context
         params = {"object_dim": self.object_dim, "unitary": u, "probe_state": probe_amps,
-                  "meter": np.diag(np.arange(self.probe_dim, dtype=float))}
+                  "meter": _graded_meter(self.probe_dim).matrix}
         return "explicit", params
 
     def evaluate(self, cand: _Candidate, relation_id, tol: float) -> tuple[float, RelationVerdict]:
@@ -345,20 +343,21 @@ def search_min_slack(
     best_cand: _Candidate | None = None
     best_slack = math.inf
     best_verdict: RelationVerdict | None = None
-    steps = impl.initial_steps()
+    # The step of coordinate c is widths[c] halved `halvings` times; a power of two divides exactly.
+    widths = [(hi - lo) / 4.0 for lo, hi, _ in impl.bounds]
+    halvings = 0
     coord = 0
     stale = 0
 
     for t in range(int(budget)):
         refine = (
             best_cand is not None
-            and impl.nparams > 0
-            and float(np.max(steps)) >= MIN_STEP
+            and math.ldexp(max(widths, default=0.0), -halvings) >= MIN_STEP
             and t % EXPLORE_EVERY != 0
         )
         if refine:
             sign = 1.0 if rng.random() < 0.5 else -1.0
-            cand = impl.perturb(best_cand, coord, float(steps[coord]), sign)
+            cand = impl.perturb(best_cand, coord, math.ldexp(widths[coord], -halvings), sign)
             coord = (coord + 1) % impl.nparams
         else:
             cand = impl.random(rng)
@@ -370,13 +369,13 @@ def search_min_slack(
             raise ArithmeticError(f"non-finite slack {slack!r} at evaluation {t}")
         if slack < best_slack:
             best_slack, best_cand, best_verdict = slack, cand, verdict
-            steps = impl.initial_steps()
+            halvings = 0
             coord = 0
             stale = 0
         elif refine:
             stale += 1
             if stale >= 2 * impl.nparams:
-                steps = steps / 2.0
+                halvings += 1
                 stale = 0
 
     found = best_cand is not None
@@ -394,17 +393,17 @@ def search_min_slack(
     )
 
 
-def certify(result: SearchResult, *, atol: float = 1e-10) -> RelationVerdict:
+def certify(result: SearchResult) -> RelationVerdict:
     """Re-evaluate a witness from its scenario document, from scratch.
 
     Raises CertificationError if the reproduced slack strays from the
-    recorded one by more than atol.
+    recorded one by more than CERTIFY_ATOL.
     """
     if result.witness_doc is None:
         raise CertificationError("result carries no witness")
     cfg = build_configuration(scenario_from_dict(result.witness_doc))
     verdict = check(result.relation_id, cfg.model, cfg.state, cfg.x0, cfg.y0, tol=cfg.tolerance)
-    if not math.isfinite(verdict.slack) or abs(verdict.slack - result.best_slack) > atol:
+    if not math.isfinite(verdict.slack) or abs(verdict.slack - result.best_slack) > CERTIFY_ATOL:
         raise CertificationError(
             f"witness does not reproduce: recorded slack {result.best_slack!r}, "
             f"recomputed {verdict.slack!r}"

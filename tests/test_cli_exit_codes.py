@@ -150,3 +150,40 @@ def test_sigma_phi_search_with_qubit_dims_runs(capsys):
                  "--seed", "0", "--object-dim", "2", "--probe-dim", "2"])
     assert code == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("value", ["", " \t"], ids=["empty", "blank"])
+def test_empty_witness_path_is_a_usage_error(capsys, monkeypatch, value):
+    """An empty --witness-out would write no file; it is refused before any evaluation."""
+    monkeypatch.setattr(_SpaceImpl, "evaluate", _no_evaluation)
+    code = main([*SEARCH, "--budget", "30", "--witness-out", value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "usage error: --witness-out is empty: give a file path\n"
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["sweep", "FILE", "--param", "phi_degrees", "--grid", "-40,0,40"], "--grid"),
+    ([*SEARCH, "--budget", "30", "--tol", "-1e-9"], "--tol"),
+], ids=["grid", "tol"])
+def test_a_value_read_as_an_option_names_the_equals_form(capsys, tmp_path, monkeypatch, argv, flag):
+    monkeypatch.setattr(_SpaceImpl, "evaluate", _no_evaluation)
+    path = tmp_path / "scenario.json"
+    path.write_bytes(_text(SCENARIO))
+    code = main([str(path) if a == "FILE" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (f"usage error: argument {flag}: expected one argument "
+                            f"(for a value that starts with '-', write {flag}=VALUE)\n")
+
+
+def test_negative_grid_in_the_equals_form_sweeps_every_value(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(_text(SCENARIO))
+    code = main(["sweep", str(path), "--param", "phi_degrees", "--grid=-40,0,40", "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    rows = [json.loads(line) for line in captured.out.splitlines()]
+    assert [row["param_value"] for row in rows] == [-40.0, 0.0, 40.0]
