@@ -45,7 +45,8 @@ class _Parser(argparse.ArgumentParser):
         flag = re.fullmatch(r"argument (-\S+): expected one argument", message)
         if flag:
             message += f" (for a value that starts with '-', write {flag[1]}=VALUE)"
-        raise _UsageError(message)
+        # argparse quotes most values but lists unrecognized arguments verbatim: escape a newline or NUL in one.
+        raise _UsageError("".join(c if c.isprintable() else repr(c)[1:-1] for c in message))
 
 
 def _relation_ids() -> list[str]:
@@ -103,10 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise _UsageError(f"cannot read scenario file {path!r}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
         raise ScenarioError(f"scenario file {path!r} is not UTF-8 text (byte {e.start})") from None
+    except (OSError, ValueError) as e:  # ValueError: a path with a NUL byte
+        reason = getattr(e, "strerror", None) or e
+        raise _UsageError(f"cannot read scenario file {path!r}: {reason}") from None
 
 
 def _load_scenario(path: str) -> Scenario:
@@ -176,20 +178,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_search(args) -> int:
-    family = Family(args.family)
-    probe_dim = args.probe_dim
-    if probe_dim is None:
-        probe_dim = 4 if family is Family.SHIFT else 2
-    if family is Family.SIGMA_PHI and (args.object_dim, probe_dim) != (2, 2):
-        raise _UsageError("sigma_phi is a qubit model: --object-dim and --probe-dim must be 2")
     if args.seed < 0:
         raise _UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.witness_out is not None and not args.witness_out.strip():
         raise _UsageError("--witness-out is empty: give a file path")
     space = SearchSpace(
-        family=family,
+        family=args.family,
         object_dim=args.object_dim,
-        probe_dim=probe_dim,
+        probe_dim=args.probe_dim,
         value_map_spec=args.value_map,
     )
     try:
@@ -203,11 +199,14 @@ def cmd_search(args) -> int:
         if args.witness_out:
             try:
                 Path(args.witness_out).write_text(scenario_to_text(result.witness_doc), encoding="utf-8")
-            except OSError as e:
-                raise _UsageError(f"cannot write witness file {args.witness_out!r}: {e.strerror or e}") from None
+            except (OSError, ValueError) as e:  # ValueError: a path with a NUL byte
+                reason = getattr(e, "strerror", None) or e
+                raise _UsageError(f"cannot write witness file {args.witness_out!r}: {reason}") from None
             witness_path = args.witness_out
+    elif args.witness_out:
+        sys.stderr.write(f"note: a zero-budget search has no witness; {args.witness_out!r} was not written\n")
 
-    violation = result.violation_found(args.tol)
+    violation = result.violation_found()
     record = {
         "relation_id": result.relation_id,
         "family": result.family,

@@ -72,7 +72,7 @@ def spectral_norm(a) -> float:
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, ord=2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -233,9 +233,7 @@ class Evaluation:
         return calibrated_outcomes(self.model, [(value, prob) for value, _, prob in self.readouts])
 
     def _conditional(self, readout: float, coeffs: np.ndarray, prob: float) -> tuple[float, float]:
-        """(eps_cond, sigma_cond) in the conditional object state coeffs coeffs^dag / prob."""
-        if prob <= ZERO_PROB:
-            raise ValueError(f"readout {readout!r} has probability {prob!r}; conditioning undefined")
+        """(eps_cond, sigma_cond) in the conditional object state coeffs coeffs^dag / prob, prob > ZERO_PROB."""
         assigned = float(self.model.value_map_xt(float(readout)))
         x_coeffs = self.x0.matrix @ coeffs
         mean = np.vdot(coeffs, x_coeffs).real / prob
@@ -249,7 +247,7 @@ class Evaluation:
         return [
             (value, prob, *self._conditional(value, coeffs, prob))
             for value, coeffs, prob in self.readouts
-            if prob > floor
+            if prob > max(floor, ZERO_PROB)
         ]
 
 
@@ -334,7 +332,10 @@ def conditional_resolution(
 def conditional_pairs(
     model: IndirectModel, state: PureState, x0: HermitianObservable, *, floor: float = ZERO_PROB
 ) -> list[tuple[float, float, float, float]]:
-    """(readout, probability, eps_cond, sigma_cond) for readouts above the floor."""
+    """(readout, probability, eps_cond, sigma_cond) for readouts above the floor.
+
+    A readout at or below ZERO_PROB is impossible and skipped for any floor.
+    """
     return Evaluation(model, state, x0, x0).conditional_pairs(floor)
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "conditional_post_state",
     "evolve",
     "evolved_amplitudes",
-    "meter_values",
     "named_qubit_state",
     "outcome_probabilities",
     "pauli_observable",
@@ -174,11 +173,12 @@ class IndirectModel:
 
     @functools.cached_property
     def measurement_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """meter_values of value_map_x0 and of value_map_xt, computed once per model."""
-        values_x0 = _freeze(meter_values(self, self.value_map_x0))
+        """value_map_x0 and value_map_xt applied to the meter eigenvalues, in the meter's
+        eigenvector order; computed once per model."""
+        values_x0 = _freeze(_mapped_spectrum(self.value_map_x0, self.meter.eigenvalues))
         if self.value_map_xt is self.value_map_x0:
             return values_x0, values_x0
-        return values_x0, _freeze(meter_values(self, self.value_map_xt))
+        return values_x0, _freeze(_mapped_spectrum(self.value_map_xt, self.meter.eigenvalues))
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,11 +204,6 @@ def composite_input(model: IndirectModel, state: PureState) -> np.ndarray:
     """Amplitudes of the joint input state, object factor first."""
     _check_fit(model, state)
     return np.kron(state.amplitudes, model.probe_state.amplitudes)
-
-
-def meter_values(model: IndirectModel, f: Callable[[float], float]) -> np.ndarray:
-    """A value map applied to the meter eigenvalues, in the meter's eigenvector order."""
-    return _mapped_spectrum(f, model.meter.eigenvalues)
 
 
 def evolve(model: IndirectModel, x0: HermitianObservable, y0: HermitianObservable) -> EvolvedOperators:
@@ -295,9 +290,8 @@ def build_shift_model(
     if probe_state.dim != probe_dim:
         raise ValueError("probe state dim does not match probe_dim")
     lo, hi = _pointer_window(x0, probe_dim)
+    # Never empty: _pointer_window caps probe_dim at MAX_SHIFT_DIM = 16^2, so some |amplitude| >= 1/16.
     populated = np.flatnonzero(np.abs(probe_state.amplitudes) > POPULATED_ATOL)
-    if populated.size == 0:
-        raise ValueError("probe state has no populated pointer level")
     k_min, k_max = int(populated[0]), int(populated[-1])
     if k_min < lo or k_max > hi:
         raise ValueError(

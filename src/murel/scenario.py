@@ -305,7 +305,6 @@ def _value_map(spec: Any, path: str) -> Callable[[IndirectModel], IndirectModel]
 class Scenario:
     """Parsed scenario; `document` writes its normalized JSON-ready form."""
 
-    schema_version: int
     scenario_id: str | None
     family: str
     model_params: dict
@@ -389,7 +388,6 @@ def scenario_from_dict(doc: Any) -> Scenario:
     tolerance = _tolerance(top.get("tolerance", DEFAULT_TOL), "scenario.tolerance")
     seed = _integer(top.get("seed", 0), "scenario.seed")
     return Scenario(
-        schema_version=version,
         scenario_id=scenario_id,
         family=family,
         model_params=params,

@@ -94,11 +94,7 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
     if dim < 1:
         raise ValueError("dim must be positive")
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    nrm = np.linalg.norm(z)
-    while nrm == 0.0:  # pragma: no cover - probability zero
-        z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        nrm = np.linalg.norm(z)
-    return PureState._trusted(z / nrm)
+    return PureState._trusted(z / np.linalg.norm(z))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -160,8 +156,10 @@ def _state_bounds(dim: int) -> list[tuple[float, float, bool]]:
 class SearchSpace:
     """Which configurations the search ranges over.
 
-    x0/y0 default per family ("sigma_x"/"sigma_y" for qubit objects;
-    "sigma_z"/"sigma_y" for shift).  value_map composes on top of the
+    probe_dim None is the family's default: 4 for shift, 2 otherwise.
+    sigma_phi is a qubit model, so any object_dim or probe_dim other than 2
+    is rejected.  x0/y0 default per family ("sigma_x"/"sigma_y" for qubit
+    objects; "sigma_z"/"sigma_y" for shift).  value_map composes on top of the
     family's built-in calibration.  For the shift family, probe_state pins
     the probe so only the object state is searched; leave it None to search
     the probe amplitudes as well (restricted to pointer levels that cannot
@@ -170,7 +168,7 @@ class SearchSpace:
 
     family: Family | str
     object_dim: int = 2
-    probe_dim: int = 4
+    probe_dim: int | None = None
     x0_spec: str | np.ndarray | None = None
     y0_spec: str | np.ndarray | None = None
     value_map_spec: str = "identity"
@@ -203,12 +201,13 @@ class _SpaceImpl:
         self.family = Family(space.family)
         self.value_map_spec = space.value_map_spec
         self.recalibrate = _value_map(space.value_map_spec, "SearchSpace.value_map_spec")
-        if self.family is Family.SIGMA_PHI:
-            self.object_dim = 2
-            self.probe_dim = 2
-        else:
-            self.object_dim = int(space.object_dim)
-            self.probe_dim = int(space.probe_dim)
+        probe_dim = space.probe_dim
+        if probe_dim is None:
+            probe_dim = 4 if self.family is Family.SHIFT else 2
+        self.object_dim, self.probe_dim = int(space.object_dim), int(probe_dim)
+        if self.family is Family.SIGMA_PHI and (self.object_dim, self.probe_dim) != (2, 2):
+            raise ValueError(f"sigma_phi is a qubit model: object_dim and probe_dim must be 2, "
+                             f"got {self.object_dim} and {self.probe_dim}")
         if self.family is Family.RANDOM_UNITARY:
             _check_random_dims(self.object_dim, self.probe_dim)
         dx, dy = _default_pair(self.family, self.object_dim)
@@ -216,8 +215,9 @@ class _SpaceImpl:
         self.y0_spec = dy if space.y0_spec is None else space.y0_spec
         self.x0 = _resolve_observable(self.x0_spec, "SearchSpace.x0_spec")
         self.y0 = _resolve_observable(self.y0_spec, "SearchSpace.y0_spec")
-        if self.x0.dim != self.object_dim or self.y0.dim != self.object_dim:
-            raise ValueError("observable dims do not match the search object dim")
+        for name, obs in (("x0", self.x0), ("y0", self.y0)):
+            if obs.dim != self.object_dim:
+                raise ValueError(f"SearchSpace.{name}_spec: observable dim {obs.dim} != object_dim {self.object_dim}")
 
         state_b = _state_bounds(self.object_dim)
         self.n_model_params = 0  # leading coordinates that change the model, not the state
@@ -302,6 +302,11 @@ class _SpaceImpl:
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
+    """One search's outcome: the best slack found and, unless the budget was 0, its witness.
+
+    verdict is the witness's verdict, under the tolerance the search ran with.
+    """
+
     relation_id: str
     family: str
     budget: int
@@ -313,8 +318,9 @@ class SearchResult:
     witness_doc: dict | None
     rng_name: str = RNG_NAME
 
-    def violation_found(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.witness_doc is not None and self.best_slack < -tol
+    def violation_found(self) -> bool:
+        """Whether the witness violates the relation, read from its own verdict."""
+        return self.verdict is not None and not self.verdict.holds
 
 
 def search_min_slack(

@@ -27,6 +27,16 @@ SHIFT_SCALE_1E200 = {
     "value_map": "scale:1e200",
 }
 X0_1E200 = {**SCENARIO, "observables": {"x0": [[[1e200, 0], [0, 0]], [[0, 0], [-1e200, 0]]], "y0": "sigma_y"}}
+IDENTITY_3 = [[[float(i == j), 0] for j in range(3)] for i in range(3)]
+EXPLICIT_CNOT = {
+    "family": "explicit",
+    "object_dim": 2,
+    "unitary": [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]],
+                [[0, 0], [0, 0], [0, 0], [1, 0]], [[0, 0], [0, 0], [1, 0], [0, 0]]],
+    "probe_state": [[1, 0], [0, 0]],
+    "meter": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]],
+}
+SHIFT_PROBE_DIM_0 = {"family": "shift", "probe_dim": 0, "probe_state": []}
 
 
 def _text(doc: dict) -> bytes:
@@ -60,7 +70,29 @@ CASES = [
     ("sweep-grid-empty", _text(SCENARIO), ["sweep", "FILE", "--param", "phi_degrees", "--grid", ""], 1),
     ("sweep-grid-blank", _text(SCENARIO), ["sweep", "FILE", "--param", "phi_degrees", "--grid", " \t"], 1),
     ("seed-negative", None, [*SEARCH, "--budget", "30", "--seed", "-1"], 1),
+    ("explicit-meter-3", _text({**SCENARIO, "model": {**EXPLICIT_CNOT, "meter": IDENTITY_3}}), ["metrics", "FILE"], 2),
+    ("state-length-3", _text({**SCENARIO, "state": [[1, 0], [0, 0], [0, 0]]}), ["metrics", "FILE"], 2),
+    ("observables-3x3", _text({**SCENARIO, "model": EXPLICIT_CNOT, "observables": {"x0": IDENTITY_3, "y0": IDENTITY_3}}),
+     ["metrics", "FILE"], 2),
+    ("id-integer", _text({**SCENARIO, "id": 3}), ["metrics", "FILE"], 2),
+    ("model-list", _text({**SCENARIO, "model": []}), ["metrics", "FILE"], 2),
+    ("top-level-list", b"[]", ["metrics", "FILE"], 2),
+    ("probe-dim-0", _text({**SCENARIO, "model": SHIFT_PROBE_DIM_0}), ["metrics", "FILE"], 2),
+    ("object-dim-0", _text({**SCENARIO, "model": {**EXPLICIT_CNOT, "object_dim": 0}}), ["metrics", "FILE"], 2),
+    ("shift-object-dim-3", None, [*SEARCH, "--budget", "30", "--object-dim", "3"], 1),
 ]
+# The stderr line of the rejections above that no other test reads.
+MESSAGES = {
+    "explicit-meter-3": "scenario error: scenario.model.meter: meter dim 3 != probe dim 2\n",
+    "state-length-3": "scenario error: scenario.state: state length 3 != object dim 2\n",
+    "observables-3x3": "scenario error: scenario.observables: observable dim 3 != object_dim 2\n",
+    "id-integer": "scenario error: scenario.id: expected a string, got 3\n",
+    "model-list": "scenario error: scenario.model: expected an object, got list\n",
+    "top-level-list": "scenario error: scenario: expected an object, got list\n",
+    "probe-dim-0": "scenario error: scenario.model.probe_dim: probe_dim must be positive\n",
+    "object-dim-0": "scenario error: scenario.model.object_dim: object_dim must be positive\n",
+    "shift-object-dim-3": "usage error: SearchSpace.x0_spec: observable dim 2 != object_dim 3\n",
+}
 
 
 def _no_evaluation(*args, **kwargs):
@@ -84,6 +116,39 @@ def test_exit_code_contract(capsys, tmp_path, monkeypatch, content, argv, expect
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         prefix = "usage error: " if code == 1 else "scenario error: "
         assert captured.err.startswith(prefix)
+
+
+@pytest.mark.parametrize("case_id,message", MESSAGES.items(), ids=list(MESSAGES))
+def test_rejection_message_names_its_field(capsys, tmp_path, monkeypatch, case_id, message):
+    monkeypatch.setattr(_SpaceImpl, "evaluate", _no_evaluation)
+    content, argv, _ = next(c[1:] for c in CASES if c[0] == case_id)
+    path = tmp_path / "scenario.json"
+    if content is not None:
+        path.write_bytes(content)
+    code = main([str(path) if a == "FILE" else a for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2 if message.startswith("scenario") else 1, "", message)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["metrics", "a\x00b"], "cannot read scenario file 'a\\x00b': embedded null byte"),
+    ([*SEARCH, "--budget", "3", "--witness-out", "a\x00b"], "cannot write witness file 'a\\x00b': embedded null byte"),
+    (["reproduce-spin", "a\nb"], "unrecognized arguments: a\\nb"),
+], ids=["read-nul", "write-nul", "extra-newline"])
+def test_a_nul_or_newline_in_an_argument_exits_1_with_one_line(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"usage error: {message}\n")
+
+
+def test_zero_budget_witness_request_says_no_file_was_written(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    code = main([*SEARCH, "--budget", "0", "--witness-out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.endswith("\nno violation\n")
+    assert captured.err == f"note: a zero-budget search has no witness; {str(path)!r} was not written\n"
+    assert not path.exists()
 
 
 def test_search_value_map_overflow_exits_1_on_the_first_candidate(capsys):

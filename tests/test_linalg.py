@@ -246,6 +246,13 @@ class TestProperties:
         assert abs(expectation(psi, a)) <= spectral_norm(a) + 1e-10
 
     @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 16), st.booleans())
+    def test_spectral_norm_is_numpys_two_norm_bit_for_bit(self, seed, dim, hermitian):
+        rng = np.random.default_rng(seed)
+        a = random_hermitian(dim, rng) if hermitian else rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        assert spectral_norm(a) == float(np.linalg.norm(a, ord=2))
+
+    @settings(max_examples=60, deadline=None)
     @given(seeded_hermitian_pair())
     def test_probe_partial_of_hermitian_is_hermitian(self, data):
         a, _, rng = data

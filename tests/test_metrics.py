@@ -25,10 +25,12 @@ from murel.metrics import (
     unbiasedness_residual_xt,
 )
 from murel.model import (
+    ZERO_PROB,
     build_shift_model,
     build_sigma_phi,
     named_qubit_state,
     pauli_observable,
+    readout_probabilities,
 )
 
 SX = pauli_observable("sigma_x")
@@ -222,6 +224,12 @@ class TestConditionalResolution:
             assert eps == pytest.approx(eps_direct, abs=1e-10)
             bias = np.trace(rho.rho @ SX.matrix).real - mval
             assert eps**2 == pytest.approx(sigma**2 + bias**2, abs=1e-10)
+
+    def test_a_floor_below_zero_prob_still_skips_impossible_readouts(self):
+        m = build_sigma_phi(1e-7)
+        psi = named_qubit_state("+x")
+        assert 0.0 < dict(readout_probabilities(m, psi))[-1.0] <= ZERO_PROB
+        assert [p[0] for p in conditional_pairs(m, psi, SX, floor=0.0)] == [1.0]
 
     def test_pairs_cover_all_likely_readouts(self):
         m = build_sigma_phi(0.5)

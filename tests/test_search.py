@@ -272,3 +272,32 @@ class TestOneResultPath:
         monkeypatch.setattr(_SpaceImpl, "evaluate", lambda self, cand, rid, tol: (math.nan, None))
         with pytest.raises(ArithmeticError, match="non-finite slack nan at evaluation 0"):
             search_min_slack(RelationId.OZAWA_E2, SearchSpace(family=Family.SIGMA_PHI), 5, seed=0)
+
+
+class TestFamilyDimensions:
+    """The search space decides each family's dimensions; its caller passes them through."""
+
+    @pytest.mark.parametrize("family,dims", [("sigma_phi", (2, 2)), ("shift", (2, 4)), ("random_unitary", (2, 2))])
+    def test_default_probe_dim_is_the_familys(self, family, dims):
+        impl = _SpaceImpl(SearchSpace(family=family))
+        assert (impl.object_dim, impl.probe_dim) == dims
+
+    @pytest.mark.parametrize("dims", [{"object_dim": 3}, {"probe_dim": 4}, {"object_dim": 4, "probe_dim": 3}])
+    def test_sigma_phi_with_other_dims_is_rejected(self, dims):
+        with pytest.raises(ValueError, match=r"^sigma_phi is a qubit model: "):
+            _SpaceImpl(SearchSpace(family=Family.SIGMA_PHI, **dims))
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"object_dim": 3}, r"^SearchSpace\.x0_spec: observable dim 2 != object_dim 3$"),
+        ({"y0_spec": np.eye(3)}, r"^SearchSpace\.y0_spec: observable dim 3 != object_dim 2$"),
+    ], ids=["x0", "y0"])
+    def test_observable_dim_mismatch_names_both_dims(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            _SpaceImpl(SearchSpace(family=Family.SHIFT, **kwargs))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 2.0])
+def test_violation_is_read_from_the_verdict_under_the_search_tolerance(tol):
+    res = search_min_slack(RelationId.HEISENBERG_E1, SearchSpace(family=Family.SIGMA_PHI), 40, seed=1, tol=tol)
+    assert -2.0 < res.best_slack < -0.5
+    assert res.violation_found() == (tol < 0.5) == (not res.verdict.holds)
