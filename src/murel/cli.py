@@ -84,10 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", required=True, type=int, help="number of evaluations")
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="slack tolerance (default %(default)g)")
-    p.add_argument("--object-dim", type=int, default=2)
-    p.add_argument("--probe-dim", type=int, default=None,
+    p.add_argument("--object-dim", type=int, default=SearchSpace.object_dim)
+    p.add_argument("--probe-dim", type=int, default=SearchSpace.probe_dim,
                    help="probe levels (default 4 for shift, 2 otherwise)")
-    p.add_argument("--value-map", default="identity",
+    p.add_argument("--value-map", default=SearchSpace.value_map_spec,
                    help="value map composed on top of the family calibration")
     p.add_argument("--witness-out", default=None, metavar="PATH",
                    help="write the best configuration as a scenario file")
@@ -229,16 +229,11 @@ def cmd_reproduce_spin(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        sys.stderr.write(f"usage error: {e}\n")
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as e:  # --help / --version
         return int(e.code or 0)
-    try:
-        return args.func(args)
     except _UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE

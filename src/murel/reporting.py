@@ -20,7 +20,7 @@ import numpy as np
 from .metrics import Evaluation
 from .model import READOUT_MERGE_GAP
 from .relations import RelationId, verdicts
-from .scenario import BuiltConfiguration, build_configuration, make_scenario_doc, scenario_from_dict, vector_pairs
+from .scenario import BuiltConfiguration, Scenario, build_configuration, vector_pairs
 
 __all__ = [
     "COLUMNS",
@@ -123,28 +123,25 @@ def configuration_row(
     return row
 
 
+def _json_value(value: Any) -> Any:
+    if type(value) is not float:  # an exact float, the common case, skips the type tests
+        if value is None or isinstance(value, (bool, str)):
+            return value
+        if isinstance(value, (int, np.integer)):
+            return int(value)
+        if not isinstance(value, (float, np.floating)):
+            return str(value)
+        value = float(value)
+    return value if math.isfinite(value) else repr(value)
+
+
 def _cell(value: Any) -> str:
+    """A CSV cell: the JSON value, with null empty and booleans lower-case."""
+    value = _json_value(value)
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if value is True or value is False:
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _json_value(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not math.isfinite(v):
-            return repr(v)
-        return v
     return str(value)
 
 
@@ -175,10 +172,10 @@ def _spin_cfg(
     phi_degrees: float,
     state: str,
     *,
-    value_map: str = "identity",
+    value_map: str = Scenario.value_map_spec,
     scenario_id: str,
 ) -> BuiltConfiguration:
-    doc = make_scenario_doc(
+    return build_configuration(Scenario(
         family="sigma_phi",
         model_params={"phi_degrees": phi_degrees},
         state_spec=state,
@@ -186,8 +183,7 @@ def _spin_cfg(
         y0_spec="sigma_y",
         value_map_spec=value_map,
         scenario_id=scenario_id,
-    )
-    return build_configuration(scenario_from_dict(doc))
+    ))
 
 
 def spin_reference_rows() -> list[dict[str, Any]]:

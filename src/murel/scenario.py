@@ -303,36 +303,57 @@ def _value_map(spec: Any, path: str) -> Callable[[IndirectModel], IndirectModel]
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Parsed scenario; `document` writes its normalized JSON-ready form."""
+    """One scenario record: the fields a document holds, with the schema's defaults.
 
-    scenario_id: str | None
+    scenario_from_dict validates a document into one; `document` writes its
+    normalized JSON-ready form, and build_configuration realizes it.
+    """
+
     family: str
     model_params: dict
     state_spec: str | np.ndarray
     x0_spec: str | np.ndarray
     y0_spec: str | np.ndarray
-    value_map_spec: str
-    tolerance: float
-    seed: int
+    value_map_spec: str = "identity"
+    tolerance: float = DEFAULT_TOL
+    seed: int = 0
+    scenario_id: str | None = None
 
     @property
     def document(self) -> dict:
         """The normalized document of these fields, written afresh on each read."""
-        return make_scenario_doc(
-            family=self.family, model_params=self.model_params, state_spec=self.state_spec,
-            x0_spec=self.x0_spec, y0_spec=self.y0_spec, value_map_spec=self.value_map_spec,
-            tolerance=self.tolerance, seed=self.seed, scenario_id=self.scenario_id,
-        )
+        fields = _model_fields(self.family)
+        model = {"family": self.family,
+                 **{key: write(self.model_params[key]) for key, (_, write) in fields.items()}}
+        doc: dict[str, Any] = {"schema_version": SCHEMA_VERSION}
+        if self.scenario_id is not None:
+            doc["id"] = self.scenario_id
+        doc["model"] = model
+        doc["state"] = _spec_json(self.state_spec)
+        doc["observables"] = {
+            "x0": _spec_json(self.x0_spec),
+            "y0": _spec_json(self.y0_spec),
+        }
+        doc["value_map"] = self.value_map_spec
+        doc["tolerance"] = float(self.tolerance)
+        doc["seed"] = int(self.seed)
+        return doc
 
 
 @dataclass(frozen=True, eq=False)
 class BuiltConfiguration:
+    """A scenario realized: model, state and observable pair; built by build_configuration."""
+
     model: IndirectModel
     state: PureState
     x0: HermitianObservable
     y0: HermitianObservable
-    tolerance: float
     scenario: Scenario
+
+    @property
+    def tolerance(self) -> float:
+        """The scenario's slack tolerance."""
+        return self.scenario.tolerance
 
 
 def scenario_from_dict(doc: Any) -> Scenario:
@@ -383,10 +404,10 @@ def scenario_from_dict(doc: Any) -> Scenario:
         _spec(oobj[k], f"scenario.observables.{k}", "observable", NAMED_OBSERVABLES, _complex_matrix)
         for k in ("x0", "y0")
     )
-    value_map_spec = top.get("value_map", "identity")
+    value_map_spec = top.get("value_map", Scenario.value_map_spec)
     _value_map(value_map_spec, "scenario.value_map")
-    tolerance = _tolerance(top.get("tolerance", DEFAULT_TOL), "scenario.tolerance")
-    seed = _integer(top.get("seed", 0), "scenario.seed")
+    tolerance = _tolerance(top.get("tolerance", Scenario.tolerance), "scenario.tolerance")
+    seed = _integer(top.get("seed", Scenario.seed), "scenario.seed")
     return Scenario(
         scenario_id=scenario_id,
         family=family,
@@ -489,44 +510,16 @@ def build_configuration(sc: Scenario) -> BuiltConfiguration:
     model = build_model(sc.family, sc.model_params, x0)
     state = _resolve_state(sc.state_spec, model.object_dim, "scenario.state")
     model = apply_value_map(model, sc.value_map_spec)
-    return BuiltConfiguration(
-        model=model, state=state, x0=x0, y0=y0,
-        tolerance=sc.tolerance, scenario=sc,
-    )
+    return BuiltConfiguration(model=model, state=state, x0=x0, y0=y0, scenario=sc)
 
 
 def _spec_json(spec: str | np.ndarray):
     return spec if isinstance(spec, str) else vector_pairs(spec)
 
 
-def make_scenario_doc(
-    *,
-    family: str,
-    model_params: dict,
-    state_spec: str | np.ndarray,
-    x0_spec: str | np.ndarray,
-    y0_spec: str | np.ndarray,
-    value_map_spec: str = "identity",
-    tolerance: float = DEFAULT_TOL,
-    seed: int = 0,
-    scenario_id: str | None = None,
-) -> dict:
-    """Assemble a normalized scenario document (JSON-ready dict)."""
-    fields = _model_fields(family)
-    model = {"family": family, **{key: write(model_params[key]) for key, (_, write) in fields.items()}}
-    doc: dict[str, Any] = {"schema_version": SCHEMA_VERSION}
-    if scenario_id is not None:
-        doc["id"] = scenario_id
-    doc["model"] = model
-    doc["state"] = _spec_json(state_spec)
-    doc["observables"] = {
-        "x0": _spec_json(x0_spec),
-        "y0": _spec_json(y0_spec),
-    }
-    doc["value_map"] = value_map_spec
-    doc["tolerance"] = float(tolerance)
-    doc["seed"] = int(seed)
-    return doc
+def make_scenario_doc(**fields) -> dict:
+    """Assemble a normalized scenario document (JSON-ready dict): Scenario(**fields).document."""
+    return Scenario(**fields).document
 
 
 class _NotPlainJSON(Exception):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,3 +37,21 @@ def random_integer_spectrum_observable(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260817)
+
+
+def pytest_runtest_makereport(item, call):
+    """Import hypothesis's patch writer for a failing property test, its deprecation warnings ignored.
+
+    Hypothesis imports it while reporting a failing example; a DeprecationWarning
+    raised by that import chain (libcst, typing_inspect, mypy_extensions) is an
+    error under -W error and would turn the report into a pytest INTERNALERROR
+    that hides the example.  Imported here, only on failure, it is already
+    loaded when hypothesis asks for it; without libcst there is nothing to load.
+    """
+    if call.excinfo is not None and getattr(getattr(item, "obj", None), "is_hypothesis_test", False):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                import hypothesis.extra._patching  # noqa: F401
+            except ImportError:
+                pass

@@ -10,8 +10,9 @@ import tracemalloc
 
 import pytest
 
+import murel.cli
 from murel.cli import main
-from murel.search import _SpaceImpl
+from murel.search import CertificationError, _SpaceImpl
 
 SCENARIO = {
     "schema_version": 1,
@@ -149,6 +150,16 @@ def test_zero_budget_witness_request_says_no_file_was_written(capsys, tmp_path):
     assert captured.out.endswith("\nno violation\n")
     assert captured.err == f"note: a zero-budget search has no witness; {str(path)!r} was not written\n"
     assert not path.exists()
+
+
+def test_a_witness_that_fails_certification_exits_3_with_one_line(capsys, monkeypatch):
+    def failing_certify(result):
+        raise CertificationError("witness slack does not reproduce")
+
+    monkeypatch.setattr(murel.cli, "certify", failing_certify)
+    code = main([*SEARCH, "--budget", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", "internal consistency failure: witness slack does not reproduce\n")
 
 
 def test_search_value_map_overflow_exits_1_on_the_first_candidate(capsys):

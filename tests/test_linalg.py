@@ -191,6 +191,22 @@ class TestStatesAndExpectations:
         with pytest.raises(ValueError, match="non-finite"):
             as_complex_matrix(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("construct,message", [
+        (lambda: PureState(np.eye(2) / np.sqrt(2.0)), r"^state must be a vector, got shape \(2, 2\)$"),
+        (lambda: PureState(np.array([np.nan, 1.0])), r"^state has non-finite amplitudes$"),
+        (lambda: HermitianObservable(np.array([[0.0, 1.0], [0.0, 0.0]]), [0.0, 0.0], np.eye(2)),
+         r"^observable matrix is not Hermitian$"),
+        (lambda: HermitianObservable(np.diag([1.0, 2.0]), [1.0], np.eye(2)), r"^eigendecomposition shape mismatch$"),
+        (lambda: HermitianObservable(np.diag([1.0, 2.0]), [1.0, 2.0], np.array([[1.0, 1.0], [0.0, 1.0]])),
+         r"^eigenvectors are not orthonormal$"),
+    ], ids=["state-matrix", "state-nan", "observable-non-hermitian", "eigen-shape", "eigenvectors-skewed"])
+    def test_public_constructors_reject_malformed_input(self, construct, message):
+        with pytest.raises(ValueError, match=message):
+            construct()
+
+    def test_spectral_norm_of_an_empty_matrix_is_zero(self):
+        assert spectral_norm(np.zeros((0, 0))) == 0.0
+
 
 class TestEigenClusters:
     def test_groups_degenerate_values(self):

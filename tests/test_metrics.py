@@ -257,3 +257,13 @@ class TestFullReport:
         m = build_sigma_phi(0.0)
         for label in STATES:
             assert error_xt(m, named_qubit_state(label), SX) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("state,operator,error,message", [
+    (named_qubit_state("+x"), np.eye(3), ValueError, r"^operator shape \(3, 3\) does not match state dim 2$"),
+    # not Hermitian, so its "variance" <B^2> = -1 is no round-off
+    (MixedState(np.eye(2) / 2), np.array([[0.0, 1.0], [-1.0, 0.0]]), ArithmeticError, r"^negative variance -1\.0 "),
+], ids=["shape", "negative-variance"])
+def test_stddev_rejects_an_operator_it_cannot_spread(state, operator, error, message):
+    with pytest.raises(error, match=message):
+        stddev(state, operator)

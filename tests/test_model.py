@@ -327,6 +327,17 @@ def test_a_state_that_does_not_fit_the_object_is_rejected_with_one_message(call)
         call(build_sigma_phi(0.3))
 
 
+@pytest.mark.parametrize("construct,message", [
+    (lambda: IndirectModel(0, 2, np.eye(2), named_qubit_state("+z"), pauli_observable("sigma_z")),
+     r"^dimensions must be positive$"),
+    (lambda: build_shift_model(two_level_x0(), 4, named_qubit_state("+z")),
+     r"^probe state dim does not match probe_dim$"),
+], ids=["object-dim-0", "shift-probe-state-dim"])
+def test_model_constructors_reject_dimensions_that_do_not_fit(construct, message):
+    with pytest.raises(ValueError, match=message):
+        construct()
+
+
 @pytest.mark.parametrize("call", OBSERVABLE_MISFITS.values(), ids=OBSERVABLE_MISFITS)
 def test_an_observable_that_does_not_fit_the_object_is_rejected_with_one_message(call):
     with pytest.raises(ValueError, match=r"^observable dims do not match the model object dim$"):

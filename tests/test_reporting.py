@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from murel.relations import RelationId
@@ -69,6 +72,10 @@ class TestRowBuilder:
         with pytest.raises(ValueError, match="unknown columns"):
             configuration_row(build_cfg(), extras={"not_a_column": 1})
 
+    def test_known_extras_are_applied_to_the_row(self):
+        row = configuration_row(build_cfg(), extras={"eps_rand_flag": "checked", "param_value": 2.5})
+        assert (row["eps_rand_flag"], row["param_value"]) == ("checked", 2.5)
+
     def test_explicit_state_label_is_compact_json(self):
         doc = make_scenario_doc(
             family="sigma_phi",
@@ -107,6 +114,46 @@ class TestRenderers:
         assert parsed[0]["eps_rand"] == ""
         json_row = json.loads(render_json_lines(rows))
         assert json_row["eps_rand"] is None
+
+
+class _Level(enum.IntEnum):
+    THREE = 3
+
+
+class _Float(float):
+    pass
+
+
+# id: (value, CSV cell, JSON value); the CSV cell is the JSON value with null empty and booleans lower-case.
+CELLS = {
+    "none": (None, "", None),
+    "true": (True, "true", True),
+    "false": (False, "false", False),
+    "int": (3, "3", 3),
+    "numpy-int": (np.int64(3), "3", 3),
+    "int-enum": (_Level.THREE, "3", 3),
+    "float": (0.1, "0.1", 0.1),
+    "negative-zero": (-0.0, "-0.0", -0.0),
+    "numpy-float": (np.float64(0.1), "0.1", 0.1),
+    "numpy-float32": (np.float32(0.5), "0.5", 0.5),
+    "float-subclass": (_Float(0.1), "0.1", 0.1),
+    "inf": (math.inf, "inf", "inf"),
+    "minus-inf": (-math.inf, "-inf", "-inf"),
+    "nan": (math.nan, "nan", "nan"),
+    "numpy-nan": (np.float64("nan"), "nan", "nan"),
+    "str": ("DISCREPANCY", "DISCREPANCY", "DISCREPANCY"),
+    "numpy-bool": (np.bool_(True), "True", "True"),
+    "path": (Path("runs") / "a.json", str(Path("runs") / "a.json"), str(Path("runs") / "a.json")),
+}
+
+
+@pytest.mark.parametrize("value,cell,json_value", CELLS.values(), ids=CELLS)
+def test_every_value_renders_as_its_json_value_in_both_formats(value, cell, json_value):
+    row = {"eps_rand_flag": value}
+    parsed = list(csv.DictReader(io.StringIO(render_csv([row]).split("\n", 1)[1])))
+    assert parsed[0]["eps_rand_flag"] == cell
+    rendered = json.loads(render_json_lines([row]))["eps_rand_flag"]
+    assert rendered == json_value and type(rendered) is type(json_value)
 
 
 @pytest.fixture(scope="module")

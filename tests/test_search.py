@@ -32,6 +32,10 @@ class TestRandomEnsembles:
             psi = random_pure_state(dim, rng)
             assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
 
+    def test_random_state_of_dim_0_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^dim must be positive$"):
+            random_pure_state(0, np.random.default_rng(0))
+
     def test_haar_unitary_is_unitary(self):
         rng = np.random.default_rng(1)
         for dim in (2, 4, 6):
