@@ -1,131 +1,39 @@
 """Finite-dimensional simulator for measurement error, disturbance, and
-uncertainty relation checking in indirect quantum measurement models."""
+uncertainty relation checking in indirect quantum measurement models.
+
+The package exports the public names of its core modules, as each module's
+``__all__`` lists them.
+"""
 
 from __future__ import annotations
 
+import os
+import sys
+
+# The matrices here are of size 64 or less, where extra BLAS threads cost
+# more than they save.  Default to one thread unless the user chose a count
+# or numpy, and so its BLAS, is already loaded.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+    del _var
+
 __version__ = "0.1.0"
 
-from .linalg import (
-    HermitianObservable,
-    MixedState,
-    PureState,
-    apply_spectral,
-    commutator,
-    expectation,
-    herm_eig,
-    probe_partial_expectation,
-    tensor,
-)
-from .metrics import (
-    MetricsReport,
-    accuracy_commutator_residual,
-    conditional_pairs,
-    conditional_resolution,
-    disturbance_y0,
-    error_x0,
-    error_xt,
-    full_report,
-    mvo_stddev,
-    random_error,
-    stddev,
-    systematic_error,
-    unbiasedness_residual_x0,
-    unbiasedness_residual_xt,
-)
-from .model import (
-    EvolvedOperators,
-    IndirectModel,
-    build_shift_model,
-    build_sigma_phi,
-    conditional_post_state,
-    evolve,
-    named_qubit_state,
-    outcome_probabilities,
-    pauli_observable,
-    readout_probabilities,
-    rescale_mvo,
-)
-from .relations import DEFAULT_TOL, RelationId, RelationVerdict, check, check_all
-from .scenario import (
-    BuiltConfiguration,
-    Scenario,
-    ScenarioError,
-    build_configuration,
-    make_scenario_doc,
-    parse_scenario,
-    scenario_from_dict,
-    scenario_to_text,
-)
-from .search import (
-    CertificationError,
-    Family,
-    SearchResult,
-    SearchSpace,
-    certify,
-    haar_unitary,
-    random_model,
-    random_pure_state,
-    search_min_slack,
-    substream,
-)
+from . import linalg, metrics, model, relations, scenario, search  # noqa: E402
+from .linalg import *  # noqa: E402,F403
+from .metrics import *  # noqa: E402,F403
+from .model import *  # noqa: E402,F403
+from .relations import *  # noqa: E402,F403
+from .scenario import *  # noqa: E402,F403
+from .search import *  # noqa: E402,F403
 
 __all__ = [
-    "BuiltConfiguration",
-    "CertificationError",
-    "DEFAULT_TOL",
-    "EvolvedOperators",
-    "Family",
-    "HermitianObservable",
-    "IndirectModel",
-    "MetricsReport",
-    "MixedState",
-    "PureState",
-    "RelationId",
-    "RelationVerdict",
-    "Scenario",
-    "ScenarioError",
-    "SearchResult",
-    "SearchSpace",
-    "accuracy_commutator_residual",
-    "apply_spectral",
-    "build_configuration",
-    "build_shift_model",
-    "build_sigma_phi",
-    "certify",
-    "check",
-    "check_all",
-    "commutator",
-    "conditional_pairs",
-    "conditional_post_state",
-    "conditional_resolution",
-    "disturbance_y0",
-    "error_x0",
-    "error_xt",
-    "evolve",
-    "expectation",
-    "full_report",
-    "haar_unitary",
-    "herm_eig",
-    "make_scenario_doc",
-    "mvo_stddev",
-    "named_qubit_state",
-    "outcome_probabilities",
-    "parse_scenario",
-    "pauli_observable",
-    "probe_partial_expectation",
-    "random_error",
-    "random_model",
-    "random_pure_state",
-    "readout_probabilities",
-    "rescale_mvo",
-    "scenario_from_dict",
-    "scenario_to_text",
-    "search_min_slack",
-    "stddev",
-    "substream",
-    "systematic_error",
-    "tensor",
-    "unbiasedness_residual_x0",
-    "unbiasedness_residual_xt",
+    *linalg.__all__,
+    *metrics.__all__,
+    *model.__all__,
+    *relations.__all__,
+    *scenario.__all__,
+    *search.__all__,
     "__version__",
 ]

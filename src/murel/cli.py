@@ -10,20 +10,14 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .relations import DEFAULT_TOL, RelationId, check
 from .reporting import _table, configuration_row, render_csv, render_json_lines
 from .reporting import spin_reference_rows
-from .scenario import (
-    Scenario,
-    ScenarioError,
-    build_configuration,
-    parse_scenario,
-    scenario_from_dict,
-    scenario_to_text,
-)
+from .scenario import Scenario, ScenarioError, build_configuration, parse_scenario, scenario_to_text
 from .search import CertificationError, Family, SearchSpace, certify, search_min_slack
 
 __all__ = ["main"]
@@ -160,9 +154,7 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     rows = []
     for value in grid:
-        doc = sc.document
-        doc["model"][args.param] = value
-        cfg = build_configuration(scenario_from_dict(doc))
+        cfg = build_configuration(replace(sc, model_params={**sc.model_params, args.param: value}))
         rows.append(
             configuration_row(cfg, section="sweep", param_name=args.param, param_value=value)
         )

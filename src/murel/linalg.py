@@ -15,7 +15,10 @@ that skips those checks and freezes the arrays it is handed in place.  Only
 code whose output is valid by construction may call it, such as ``eigh``'s
 result, a normalized state, a Haar unitary, a model interaction assembled
 from projectors and permutations, or ``scenario.build_model``'s parts, which
-the scenario reader checked; that is how the search loop builds unchecked.
+the ``Scenario`` constructor checked; that is how the search loop builds
+unchecked.  ``Scenario._trusted`` is the scenario record's own: it serves
+the literal fields of the reference table and ``make_scenario_doc``, which
+writes the fields it is given unchecked.
 """
 
 from __future__ import annotations

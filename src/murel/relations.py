@@ -14,7 +14,7 @@ from .linalg import HermitianObservable, PureState
 from .metrics import Evaluation
 from .model import ZERO_PROB, EvolvedOperators, IndirectModel
 
-__all__ = ["RelationId", "RelationVerdict", "check", "check_all", "verdicts"]
+__all__ = ["DEFAULT_TOL", "RelationId", "RelationVerdict", "check", "check_all", "verdicts"]
 
 DEFAULT_TOL = 1e-9
 READOUT_FLOOR = ZERO_PROB  # SQL_COND_E3 skips readouts at or below this probability

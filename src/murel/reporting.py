@@ -175,7 +175,7 @@ def _spin_cfg(
     value_map: str = Scenario.value_map_spec,
     scenario_id: str,
 ) -> BuiltConfiguration:
-    return build_configuration(Scenario(
+    return build_configuration(Scenario._trusted(  # literal fields, valid by construction
         family="sigma_phi",
         model_params={"phi_degrees": phi_degrees},
         state_spec=state,

@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from itertools import chain
 from typing import Any, Callable
 
@@ -185,6 +185,8 @@ def _plain_pairs(pairs: list) -> np.ndarray | None:
 
 
 def _complex_vector(obj: Any, path: str) -> np.ndarray:
+    if isinstance(obj, np.ndarray):
+        obj = _at(path, vector_pairs, obj)
     if not isinstance(obj, list) or not obj:
         raise ScenarioError("expected a non-empty list of [re, im] pairs", path)
     fast = _plain_pairs(obj)
@@ -199,6 +201,8 @@ def _unit_vector(obj: Any, path: str) -> np.ndarray:
 
 
 def _complex_matrix(obj: Any, path: str) -> np.ndarray:
+    if isinstance(obj, np.ndarray):
+        obj = _at(path, vector_pairs, obj)
     if not isinstance(obj, list) or not obj:
         raise ScenarioError("expected a non-empty list of rows", path)
     n = len(obj)
@@ -305,7 +309,9 @@ def _value_map(spec: Any, path: str) -> Callable[[IndirectModel], IndirectModel]
 class Scenario:
     """One scenario record: the fields a document holds, with the schema's defaults.
 
-    scenario_from_dict validates a document into one; `document` writes its
+    The constructor reads each field as a document's: a ScenarioError names
+    the offending field, and the normalized values are stored.
+    scenario_from_dict reads a document into one; `document` writes its
     normalized JSON-ready form, and build_configuration realizes it.
     """
 
@@ -319,12 +325,65 @@ class Scenario:
     seed: int = 0
     scenario_id: str | None = None
 
+    def __post_init__(self):
+        if self.scenario_id is not None and not isinstance(self.scenario_id, str):
+            raise ScenarioError(f"expected a string, got {_brief(self.scenario_id)}", "scenario.id")
+        model_fields = _model_fields(self.family)
+        _check_keys(_require_dict(self.model_params, "scenario.model"), "scenario.model",
+                    required=set(model_fields))
+        params = {key: read(self.model_params[key], f"scenario.model.{key}")
+                  for key, (read, _) in model_fields.items()}
+        if self.family == "shift" and params["probe_state"].size != params["probe_dim"]:
+            raise ScenarioError(
+                f"probe_state length {params['probe_state'].size} != probe_dim "
+                f"{_brief(params['probe_dim'])}",
+                "scenario.model.probe_state",
+            )
+        if self.family == "explicit":
+            object_dim, probe_dim = params["object_dim"], params["probe_state"].size
+            if params["unitary"].shape[0] != object_dim * probe_dim:
+                raise ScenarioError(
+                    f"unitary dim {params['unitary'].shape[0]} != object_dim * probe dim "
+                    f"{_brief(object_dim * probe_dim)}",
+                    "scenario.model.unitary",
+                )
+            if params["meter"].shape[0] != probe_dim:
+                raise ScenarioError(f"meter dim {params['meter'].shape[0]} != probe dim {probe_dim}",
+                                    "scenario.model.meter")
+        state_spec = _spec(self.state_spec, "scenario.state", "state", NAMED_QUBIT_STATES, _unit_vector)
+        x0_spec, y0_spec = (
+            _spec(spec, f"scenario.observables.{k}", "observable", NAMED_OBSERVABLES, _complex_matrix)
+            for k, spec in (("x0", self.x0_spec), ("y0", self.y0_spec))
+        )
+        _value_map(self.value_map_spec, "scenario.value_map")
+        vars(self).update(
+            model_params=params,
+            state_spec=state_spec,
+            x0_spec=x0_spec,
+            y0_spec=y0_spec,
+            tolerance=_tolerance(self.tolerance, "scenario.tolerance"),
+            seed=_integer(self.seed, "scenario.seed"),
+        )
+
+    @classmethod
+    def _trusted(cls, **values) -> Scenario:
+        """A Scenario of the given fields and the defaults, whose values are not checked.
+
+        For fields valid by construction, and for documents written as given.
+        """
+        defaults = {f.name: f.default for f in fields(cls)}
+        if not values.keys() <= defaults.keys():
+            raise TypeError(f"unknown Scenario fields {sorted(values.keys() - defaults.keys())}")
+        sc = object.__new__(cls)
+        vars(sc).update({k: v for k, v in defaults.items() if v is not MISSING}, **values)
+        return sc
+
     @property
     def document(self) -> dict:
         """The normalized document of these fields, written afresh on each read."""
-        fields = _model_fields(self.family)
+        model_fields = _model_fields(self.family)
         model = {"family": self.family,
-                 **{key: write(self.model_params[key]) for key, (_, write) in fields.items()}}
+                 **{key: write(self.model_params[key]) for key, (_, write) in model_fields.items()}}
         doc: dict[str, Any] = {"schema_version": SCHEMA_VERSION}
         if self.scenario_id is not None:
             doc["id"] = self.scenario_id
@@ -357,7 +416,12 @@ class BuiltConfiguration:
 
 
 def scenario_from_dict(doc: Any) -> Scenario:
-    """Validate a scenario document (parsed JSON).  Strict: unknown keys fail."""
+    """Read a scenario document (parsed JSON).  Strict: unknown keys fail.
+
+    The document's own structure is checked here: its keys, schema_version,
+    and the objects that hold the model and the observables.  Scenario
+    checks the fields.
+    """
     top = _require_dict(doc, "scenario")
     _check_keys(
         top,
@@ -370,54 +434,19 @@ def scenario_from_dict(doc: Any) -> Scenario:
         raise ScenarioError(
             f"unsupported schema_version {_brief(version)}", "scenario.schema_version"
         )
-    scenario_id = top.get("id")
-    if scenario_id is not None and not isinstance(scenario_id, str):
-        raise ScenarioError(f"expected a string, got {_brief(scenario_id)}", "scenario.id")
-
     mobj = _require_dict(top["model"], "scenario.model")
-    family = mobj.get("family")
-    fields = _model_fields(family)
-    _check_keys(mobj, "scenario.model", required={"family", *fields})
-    params = {key: read(mobj[key], f"scenario.model.{key}") for key, (read, _) in fields.items()}
-    if family == "shift" and params["probe_state"].size != params["probe_dim"]:
-        raise ScenarioError(
-            f"probe_state length {params['probe_state'].size} != probe_dim "
-            f"{_brief(params['probe_dim'])}",
-            "scenario.model.probe_state",
-        )
-    if family == "explicit":
-        object_dim, probe_dim = params["object_dim"], params["probe_state"].size
-        if params["unitary"].shape[0] != object_dim * probe_dim:
-            raise ScenarioError(
-                f"unitary dim {params['unitary'].shape[0]} != object_dim * probe dim "
-                f"{_brief(object_dim * probe_dim)}",
-                "scenario.model.unitary",
-            )
-        if params["meter"].shape[0] != probe_dim:
-            raise ScenarioError(f"meter dim {params['meter'].shape[0]} != probe dim {probe_dim}",
-                                "scenario.model.meter")
-
-    state_spec = _spec(top["state"], "scenario.state", "state", NAMED_QUBIT_STATES, _unit_vector)
     oobj = _require_dict(top["observables"], "scenario.observables")
     _check_keys(oobj, "scenario.observables", required={"x0", "y0"})
-    x0_spec, y0_spec = (
-        _spec(oobj[k], f"scenario.observables.{k}", "observable", NAMED_OBSERVABLES, _complex_matrix)
-        for k in ("x0", "y0")
-    )
-    value_map_spec = top.get("value_map", Scenario.value_map_spec)
-    _value_map(value_map_spec, "scenario.value_map")
-    tolerance = _tolerance(top.get("tolerance", Scenario.tolerance), "scenario.tolerance")
-    seed = _integer(top.get("seed", Scenario.seed), "scenario.seed")
     return Scenario(
-        scenario_id=scenario_id,
-        family=family,
-        model_params=params,
-        state_spec=state_spec,
-        x0_spec=x0_spec,
-        y0_spec=y0_spec,
-        value_map_spec=value_map_spec,
-        tolerance=tolerance,
-        seed=seed,
+        family=mobj.get("family"),
+        model_params={key: value for key, value in mobj.items() if key != "family"},
+        state_spec=top["state"],
+        x0_spec=oobj["x0"],
+        y0_spec=oobj["y0"],
+        value_map_spec=top.get("value_map", Scenario.value_map_spec),
+        tolerance=top.get("tolerance", Scenario.tolerance),
+        seed=top.get("seed", Scenario.seed),
+        scenario_id=top.get("id"),
     )
 
 
@@ -461,7 +490,7 @@ def _resolve_state(spec: str | np.ndarray, dim: int, path: str) -> PureState:
         return named_qubit_state(spec)
     if spec.size != dim:
         raise ScenarioError(f"state length {spec.size} != object dim {dim}", path)
-    return PureState._trusted(spec)  # normalized when scenario_from_dict read it
+    return PureState._trusted(spec)  # normalized when the Scenario constructor read it
 
 
 def apply_value_map(model: IndirectModel, spec: str) -> IndirectModel:
@@ -476,11 +505,12 @@ def apply_value_map(model: IndirectModel, spec: str) -> IndirectModel:
 def build_model(family: str, params: dict, x0: HermitianObservable) -> IndirectModel:
     """Assemble a model family from its parameters, as in Scenario.model_params.
 
-    The params come from scenario_from_dict, which checks each field and how
-    the fields fit, or are valid by construction, as the search's are; their
-    parts are assembled unchecked.  What is left needs the object observable
-    x0: its dimension must fit the family, and the shift family reads it
-    out.  Every rejection is a ScenarioError naming the offending field.
+    The params come from the Scenario constructor, which checks each field
+    and how the fields fit, or are valid by construction, as the search's
+    are; their parts are assembled unchecked.  What is left needs the
+    object observable x0: its dimension must fit the family, and the shift
+    family reads it out.  Every rejection is a ScenarioError naming the
+    offending field.
     """
     if family == "sigma_phi":
         if x0.dim != 2:
@@ -518,8 +548,12 @@ def _spec_json(spec: str | np.ndarray):
 
 
 def make_scenario_doc(**fields) -> dict:
-    """Assemble a normalized scenario document (JSON-ready dict): Scenario(**fields).document."""
-    return Scenario(**fields).document
+    """Assemble a normalized scenario document (JSON-ready dict) from Scenario's fields, unchecked.
+
+    The fields are written as given, so a test can write a document the
+    reader rejects.
+    """
+    return Scenario._trusted(**fields).document
 
 
 class _NotPlainJSON(Exception):
@@ -531,26 +565,20 @@ _json_str = json.encoder.encode_basestring_ascii
 
 
 def _float_lists(obj: list, nl: str) -> str | None:
-    """_indented's text of a list of floats, or of float lists of one length, in one join; else None."""
-    inner = nl + "  "
-    kinds = set(map(type, obj))
-    if kinds == {float}:
-        body = ("," + inner).join(map(_float_repr, obj))
-        opening, closing = "[" + inner, nl + "]"
-    elif kinds == {list} and len(lengths := set(map(len, obj))) == 1:
-        leaves = list(chain.from_iterable(obj))
-        if set(map(type, leaves)) != {float}:
-            return None
-        deeper = inner + "  "
-        reprs = map(_float_repr, leaves)
-        rows = zip(*[reprs] * lengths.pop())  # consecutive groups of one inner list's length
-        body = (inner + "]," + inner + "[" + deeper).join(map(("," + deeper).join, rows))
-        opening, closing = "[" + inner + "[" + deeper, inner + "]" + nl + "]"
-    else:
+    """_indented's text of a list of float lists of one length, in one join; else None."""
+    if set(map(type, obj)) != {list} or len(lengths := set(map(len, obj))) != 1:
         return None
+    leaves = list(chain.from_iterable(obj))
+    if set(map(type, leaves)) != {float}:
+        return None
+    inner = nl + "  "
+    deeper = inner + "  "
+    reprs = map(_float_repr, leaves)
+    rows = zip(*[reprs] * lengths.pop())  # consecutive groups of one inner list's length
+    body = (inner + "]," + inner + "[" + deeper).join(map(("," + deeper).join, rows))
     if "n" in body:  # inf or nan, which json.dumps writes as Infinity or NaN
         raise _NotPlainJSON
-    return opening + body + closing
+    return "[" + inner + "[" + deeper + body + inner + "]" + nl + "]"
 
 
 def _indented(obj: Any, nl: str) -> str:
@@ -595,8 +623,9 @@ def scenario_to_text(doc: dict) -> str:
     """Serialize a scenario document: exactly json.dumps(doc, indent=2) + "\n".
 
     Floats round-trip exactly.  Plain JSON data is written by _indented,
-    which joins float lists and matrix rows in one pass each; anything else
-    is left to json.dumps (whose indented encoder is pure Python).
+    which joins each vector and matrix row of [re, im] pairs in one pass;
+    anything else is left to json.dumps (whose indented encoder is pure
+    Python).
     """
     try:
         return _indented(doc, "\n") + "\n"

@@ -102,8 +102,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    ph = np.where(np.abs(d) > 0, d / np.abs(np.where(np.abs(d) > 0, d, 1)), 1.0)
-    return q * ph
+    return q * (d / np.abs(d))  # R's diagonal is nonzero with probability 1
 
 
 def _check_random_dims(object_dim: int, probe_dim: int) -> None:

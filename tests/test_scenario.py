@@ -17,6 +17,7 @@ from murel.linalg import max_abs
 from murel.model import build_sigma_phi, outcome_probabilities, pauli_observable
 from murel.relations import RelationId, check
 from murel.scenario import (
+    Scenario,
     ScenarioError,
     apply_value_map,
     build_configuration,
@@ -91,6 +92,46 @@ class TestRoundTrip:
         moved = dataclasses.replace(sc, model_params={"phi_degrees": 90.0})
         assert moved.document == sigma_phi_doc(phi=90.0)
         assert sc.document == sigma_phi_doc(phi=40.0)
+
+
+SIGMA_PHI_FIELDS = dict(family="sigma_phi", model_params={"phi_degrees": 40.0},
+                        state_spec="+x", x0_spec="sigma_x", y0_spec="sigma_y")
+
+
+class TestScenarioConstructor:
+    @pytest.mark.parametrize("overrides, path", [
+        ({"model_params": {"phi_degrees": float("nan")}}, "scenario.model.phi_degrees"),
+        ({"tolerance": -1.0}, "scenario.tolerance"),
+        ({"tolerance": True}, "scenario.tolerance"),
+        ({"seed": 1.5}, "scenario.seed"),
+        ({"state_spec": np.array([1.0, 1.0])}, "scenario.state"),
+        ({"state_spec": np.array(["a", "b"])}, "scenario.state"),
+        ({"x0_spec": "sigma_q"}, "scenario.observables.x0"),
+        ({"family": "nope"}, "scenario.model.family"),
+        ({"model_params": {"phi_degrees": 40.0, "extra": 1}}, "scenario.model"),
+        ({"value_map_spec": "scale:x"}, "scenario.value_map"),
+        ({"scenario_id": 3}, "scenario.id"),
+    ], ids=["phi-nan", "tolerance-negative", "tolerance-bool", "seed-float", "state-unnormalized",
+            "state-strings", "x0-unknown-name", "family-unknown", "model-extra-key", "value-map-bad-argument", "id-int"])
+    def test_invalid_field_raises_at_its_path(self, overrides, path):
+        with pytest.raises(ScenarioError) as err:
+            Scenario(**{**SIGMA_PHI_FIELDS, **overrides})
+        assert err.value.path == path
+
+    def test_replace_checks_the_new_fields(self):
+        sc = Scenario(**SIGMA_PHI_FIELDS)
+        with pytest.raises(ScenarioError, match=r"scenario\.model\.phi_degrees: non-finite number inf"):
+            dataclasses.replace(sc, model_params={"phi_degrees": float("inf")})
+
+    def test_unchecked_document_still_rejects_unknown_fields(self):
+        with pytest.raises(TypeError, match="tolerence"):
+            make_scenario_doc(**SIGMA_PHI_FIELDS, tolerence=1e-3)
+
+    def test_arrays_are_read_as_their_document_pairs(self):
+        fields = {**SIGMA_PHI_FIELDS, "state_spec": np.array([0.6, 0.8j]), "x0_spec": np.diag([0.0, 1.0])}
+        sc = Scenario(**fields)
+        assert sc.document == make_scenario_doc(**fields)
+        assert scenario_from_dict(sc.document).document == sc.document
 
 
 class TestStrictness:
@@ -346,7 +387,7 @@ SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931
 JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_FLOATS)
 JSON_TEXT = st.text(st.characters(codec="utf-8") | st.sampled_from("\x00\x1f\x7f\"\\\n\té€😀"), max_size=8)
 JSON_LEAVES = st.none() | st.booleans() | st.integers() | JSON_FLOATS | JSON_TEXT
-# lists of floats and of equal-length float lists take the writer's one-join paths
+# lists of equal-length float lists take the writer's one-join path, lists of floats the per-item one
 FLOAT_LISTS = st.lists(JSON_FLOATS, max_size=5)
 FLOAT_ROWS = st.integers(0, 3).flatmap(
     lambda k: st.lists(st.lists(JSON_FLOATS, min_size=k, max_size=k), max_size=4))
