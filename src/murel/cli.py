@@ -8,6 +8,7 @@ slack).  All data output goes to stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import replace
@@ -47,6 +48,7 @@ def _relation_ids() -> list[str]:
     return [r.value for r in RelationId]
 
 
+@functools.cache  # one parser per process; parse_args makes a new Namespace per call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="murel", description="Measurement uncertainty relation toolkit.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")

@@ -1,11 +1,14 @@
 """Randomized search for uncertainty-relation violation witnesses.
 
-The optimizer is derivative-free: random multi-starts interleaved with
-coordinate-wise moves around the incumbent whose step sizes shrink after
-unproductive sweeps.  The candidate stream depends only on the seed and on
-evaluation history, never on the budget, so a larger budget extends the same
-stream: best_slack is monotone non-increasing in the budget and a fixed
-(seed, budget) pair reproduces the result bit for bit.
+The optimizer is derivative-free: random draws interleaved with coordinate
+moves around the incumbent.  Every 8th evaluation explores (EXPLORE_EVERY);
+after each improvement, refine step k moves coordinate k mod n by a quarter
+of its range, halved floor(k/2n) times, until the widest step falls below
+MIN_STEP = 1e-6; then every evaluation explores until the next improvement.
+The candidate stream depends only on the seed and on evaluation history,
+never on the budget, so a larger budget extends the same stream: best_slack
+is monotone non-increasing in the budget and a fixed (seed, budget) pair
+reproduces the result bit for bit.
 
 Each candidate is described as a scenario family, its model parameters and
 an object state (random_unitary describes itself as an explicit model with
@@ -30,6 +33,7 @@ the whole candidate stream; results record the generator name.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -40,6 +44,7 @@ from .linalg import PureState
 from .model import IndirectModel, _graded_meter, _pointer_window
 from .relations import DEFAULT_TOL, RelationId, RelationVerdict, check
 from .scenario import (
+    ScenarioError,
     _at,
     _resolve_observable,
     _tolerance,
@@ -218,25 +223,22 @@ class _SpaceImpl:
             if obs.dim != self.object_dim:
                 raise ValueError(f"SearchSpace.{name}_spec: observable dim {obs.dim} != object_dim {self.object_dim}")
 
-        state_b = _state_bounds(self.object_dim)
-        self.n_model_params = 0  # leading coordinates that change the model, not the state
+        model_b = []  # leading coordinates that change the model, not the state
         if self.family is Family.SIGMA_PHI:
-            self.bounds = [(0.0, 360.0, True)] + state_b
-            self.n_model_params = 1
+            model_b = [(0.0, 360.0, True)]
         elif self.family is Family.SHIFT:
             lo, hi = self.window = _pointer_window(self.x0, self.probe_dim)
-            if space.probe_state is not None:
-                self.fixed_probe = _at("SearchSpace.probe_state", PureState, space.probe_state).amplitudes
-                build_model("shift", {"probe_dim": self.probe_dim, "probe_state": self.fixed_probe},
-                            self.x0)  # fail fast
-                self.bounds = list(state_b)
+            self.fixed_probe = None
+            if space.probe_state is None:
+                model_b = _state_bounds(hi - lo + 1)
             else:
-                self.fixed_probe = None
-                w = hi - lo + 1
-                self.n_model_params = 2 * w - 2
-                self.bounds = _state_bounds(w) + state_b
-        else:
-            self.bounds = list(state_b)
+                self.fixed_probe = _at("SearchSpace.probe_state", PureState, space.probe_state).amplitudes
+                try:  # fail fast
+                    build_model("shift", {"probe_dim": self.probe_dim, "probe_state": self.fixed_probe}, self.x0)
+                except ScenarioError as e:
+                    raise ScenarioError(str(e).removeprefix(f"{e.path}: "), "SearchSpace.probe_state") from None
+        self.n_model_params = len(model_b)
+        self.bounds = model_b + _state_bounds(self.object_dim)
         self.nparams = len(self.bounds)
 
     def random(self, rng: np.random.Generator) -> _Candidate:
@@ -343,27 +345,26 @@ def search_min_slack(
         raise ValueError("budget must be nonnegative")
     tol = _tolerance(tol, "tol")
     impl = _SpaceImpl(space)
-    rng = np.random.default_rng(int(seed))
+    seed, budget = int(seed), int(budget)
+    rng = np.random.default_rng(seed)
 
     best_cand: _Candidate | None = None
     best_slack = math.inf
     best_verdict: RelationVerdict | None = None
-    # The step of coordinate c is widths[c] halved `halvings` times; a power of two divides exactly.
+    # Refine step k, counted from the last improvement, moves coordinate k % n by widths[k % n]
+    # halved k // (2n) times (a power of two divides exactly).  Refinement ends after 2n steps at
+    # each of the n_sizes step sizes whose widest step is still at least MIN_STEP.
+    n = impl.nparams
     widths = [(hi - lo) / 4.0 for lo, hi, _ in impl.bounds]
-    halvings = 0
-    coord = 0
-    stale = 0
+    n_sizes = next(h for h in itertools.count() if math.ldexp(max(widths, default=0.0), -h) < MIN_STEP)
+    k_limit = 2 * n * n_sizes
+    k = 0
 
-    for t in range(int(budget)):
-        refine = (
-            best_cand is not None
-            and math.ldexp(max(widths, default=0.0), -halvings) >= MIN_STEP
-            and t % EXPLORE_EVERY != 0
-        )
+    for t in range(budget):
+        refine = best_cand is not None and k < k_limit and t % EXPLORE_EVERY != 0
         if refine:
             sign = 1.0 if rng.random() < 0.5 else -1.0
-            cand = impl.perturb(best_cand, coord, math.ldexp(widths[coord], -halvings), sign)
-            coord = (coord + 1) % impl.nparams
+            cand = impl.perturb(best_cand, k % n, math.ldexp(widths[k % n], -(k // (2 * n))), sign)
         else:
             cand = impl.random(rng)
         if refine and cand.params == best_cand.params:
@@ -374,27 +375,22 @@ def search_min_slack(
             raise ArithmeticError(f"non-finite slack {slack!r} at evaluation {t}")
         if slack < best_slack:
             best_slack, best_cand, best_verdict = slack, cand, verdict
-            halvings = 0
-            coord = 0
-            stale = 0
+            k = 0
         elif refine:
-            stale += 1
-            if stale >= 2 * impl.nparams:
-                halvings += 1
-                stale = 0
+            k += 1
 
     found = best_cand is not None
-    label = f"witness-{rid.value}-{impl.family.value}-seed{int(seed)}"
+    label = f"witness-{rid.value}-{impl.family.value}-seed{seed}"
     return SearchResult(
         relation_id=rid.value,
         family=impl.family.value,
-        budget=int(budget),
-        seed=int(seed),
-        evaluations=int(budget),
+        budget=budget,
+        seed=seed,
+        evaluations=budget,
         best_slack=float(best_slack),
         verdict=best_verdict,
         witness_params=best_cand.params if found else None,
-        witness_doc=impl.scenario_doc(best_cand, tol, int(seed), label) if found else None,
+        witness_doc=impl.scenario_doc(best_cand, tol, seed, label) if found else None,
     )
 
 
