@@ -11,6 +11,7 @@ calibration function f.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -231,9 +232,16 @@ def build_sigma_phi(phi: float) -> IndirectModel:
     |psi> (x) |0>  ->  (P+ |psi>) (x) |0> + (P- |psi>) (x) |1>, with meter
     diag(+1, -1) in the pointer basis and identity value map.  With phi
     detuned from 0 this is a deliberately miscalibrated measurement of
-    sigma_x.
+    sigma_x.  phi must be a finite angle in radians; anything else raises
+    ValueError.
     """
-    sp = sigma_phi_matrix(float(phi))
+    try:
+        phi = float(phi)
+    except OverflowError:
+        raise ValueError("phi beyond the float range") from None
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi!r}")
+    sp = sigma_phi_matrix(phi)
     p_plus = (ID2 + sp) / 2
     p_minus = (ID2 - sp) / 2
     u = tensor(p_plus, ID2) + tensor(p_minus, PAULI_X)

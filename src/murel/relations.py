@@ -7,6 +7,9 @@ so each commutator bound is 0.5 * |<[A, B]>|.
 
 from __future__ import annotations
 
+import math
+import numbers
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,6 +21,25 @@ __all__ = ["DEFAULT_TOL", "RelationId", "RelationVerdict", "check", "check_all",
 
 DEFAULT_TOL = 1e-9
 READOUT_FLOOR = ZERO_PROB  # SQL_COND_E3 skips readouts at or below this probability
+
+
+def _tolerance(tol: object) -> float:
+    """A slack tolerance: a finite number greater than 0 (a bool is not a number).
+
+    Anything else raises ValueError, so a verdict never reads a nan, infinite
+    or nonpositive tolerance.
+    """
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise ValueError(f"expected a number, got {reprlib.repr(tol)}")
+    try:
+        value = float(tol)
+    except OverflowError:
+        raise ValueError("number beyond the float range") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {value!r}")
+    if value <= 0:
+        raise ValueError("tolerance must be positive")
+    return value
 
 
 class RelationId(str, Enum):
@@ -93,8 +115,22 @@ def check(
     (probability above readout_floor) and the verdict carries the worst
     readout; use metrics.conditional_pairs for the full per-readout listing.
     `evolved` is accepted for compatibility and ignored: every side is read
-    from the evolved state, not from Heisenberg operators.
+    from the evolved state, not from Heisenberg operators.  tol must pass
+    the tolerance rule: a finite number greater than 0.
     """
+    return _check(relation_id, model, state, x0, y0, _tolerance(tol), readout_floor)
+
+
+def _check(
+    relation_id: RelationId | str,
+    model: IndirectModel,
+    state: PureState,
+    x0: HermitianObservable,
+    y0: HermitianObservable,
+    tol: float,
+    readout_floor: float = READOUT_FLOOR,
+) -> RelationVerdict:
+    """check() for a tolerance its caller has already read with the tolerance rule."""
     rid = RelationId(relation_id)
     lhs, rhs = _SIDES[rid](Evaluation(model, state, x0, y0), readout_floor)
     return _verdict(rid, lhs, rhs, tol)
@@ -102,6 +138,7 @@ def check(
 
 def verdicts(ev: Evaluation, *, tol: float = DEFAULT_TOL) -> list[RelationVerdict]:
     """All relations of one evaluated configuration, in declaration order."""
+    tol = _tolerance(tol)
     return [_verdict(rid, *_SIDES[rid](ev, READOUT_FLOOR), tol) for rid in RelationId]
 
 

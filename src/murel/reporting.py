@@ -168,22 +168,27 @@ def render_json_lines(rows: list[dict[str, Any]]) -> str:
     return _table(rows, COLUMNS, "json")
 
 
-def _spin_cfg(
-    phi_degrees: float,
-    state: str,
-    *,
-    value_map: str = Scenario.value_map_spec,
-    scenario_id: str,
-) -> BuiltConfiguration:
-    return build_configuration(Scenario._trusted(  # literal fields, valid by construction
-        family="sigma_phi",
-        model_params={"phi_degrees": phi_degrees},
-        state_spec=state,
-        x0_spec="sigma_x",
-        y0_spec="sigma_y",
-        value_map_spec=value_map,
-        scenario_id=scenario_id,
-    ))
+# (section, phi_degrees, state, scenario_id, value_map) of each spin-half reference row, in table order
+_SPIN_ROWS = [
+    ("pointer_anomaly", 90.0, "+y", "spin-pointer-anomaly-phi90-plus-y", "identity"),
+    *[
+        ("outcome_independence", phi, "+z", f"spin-outcome-independence-phi{phi:g}-plus-z", "identity")
+        for phi in (0.0, 40.0, 90.0)
+    ],
+    *[
+        ("eigenstate_error_laws", phi, state, f"spin-eigenstate-error-phi{phi:g}-{name}", "identity")
+        for state, name in (("+x", "plusx"), ("-x", "minusx"))
+        for phi in (0.0, 40.0, 90.0)
+    ],
+    *[
+        ("calibration_residuals", phi, "+z", f"spin-calibration-phi{phi:g}-plus-z", "identity")
+        for phi in (10.0 * step for step in range(10))
+    ],
+    ("relation_verdicts", 90.0, "+y", "spin-verdicts-phi90-plus-y", "identity"),
+    ("relation_verdicts", 0.0, "+z", "spin-verdicts-phi0-plus-z", "identity"),
+    ("relation_verdicts", 40.0, "+x", "spin-verdicts-phi40-plus-x", "identity"),
+    ("rescale_demo", 90.0, "+z", "spin-rescale-phi90-plus-z-scale100", "scale:100"),
+]
 
 
 def spin_reference_rows() -> list[dict[str, Any]]:
@@ -199,47 +204,26 @@ def spin_reference_rows() -> list[dict[str, Any]]:
     while breaking the spread-based ones).
     """
     rows: list[dict[str, Any]] = []
-
-    cfg = _spin_cfg(90.0, "+y", scenario_id="spin-pointer-anomaly-phi90-plus-y")
-    rows.append(configuration_row(cfg, section="pointer_anomaly"))
-
-    for phi in (0.0, 40.0, 90.0):
-        cfg = _spin_cfg(phi, "+z", scenario_id=f"spin-outcome-independence-phi{phi:g}-plus-z")
-        rows.append(configuration_row(cfg, section="outcome_independence"))
-
-    for label in ("+x", "-x"):
-        for phi in (0.0, 40.0, 90.0):
-            cfg = _spin_cfg(
-                phi, label, scenario_id=f"spin-eigenstate-error-phi{phi:g}-{label.replace('+', 'plus').replace('-', 'minus')}"
-            )
+    for section, phi, state, scenario_id, value_map in _SPIN_ROWS:
+        cfg = build_configuration(Scenario._trusted(  # literal fields, valid by construction
+            family="sigma_phi",
+            model_params={"phi_degrees": phi},
+            state_spec=state,
+            x0_spec="sigma_x",
+            y0_spec="sigma_y",
+            value_map_spec=value_map,
+            scenario_id=scenario_id,
+        ))
+        swept = section == "calibration_residuals"
+        row = configuration_row(cfg, section=section, param_name="phi_degrees" if swept else "",
+                                param_value=phi if swept else None)
+        if section == "eigenstate_error_laws":
             half_angle = abs(math.sin(math.radians(phi) / 2.0))
-            row = configuration_row(cfg, section="eigenstate_error_laws")
             decomposed = row["eps_rand"]
             flag = ""
             if decomposed is not None:
                 flag = "consistent" if abs(decomposed - half_angle) <= 1e-9 else "DISCREPANCY"
             row["eps_rand_half_angle"] = half_angle
             row["eps_rand_flag"] = flag
-            rows.append(row)
-
-    for phi_step in range(0, 10):
-        phi = 10.0 * phi_step
-        cfg = _spin_cfg(phi, "+z", scenario_id=f"spin-calibration-phi{phi:g}-plus-z")
-        rows.append(
-            configuration_row(
-                cfg, section="calibration_residuals", param_name="phi_degrees", param_value=phi
-            )
-        )
-
-    spotlight = [
-        (90.0, "+y", "spin-verdicts-phi90-plus-y"),
-        (0.0, "+z", "spin-verdicts-phi0-plus-z"),
-        (40.0, "+x", "spin-verdicts-phi40-plus-x"),
-    ]
-    for phi, label, sid in spotlight:
-        cfg = _spin_cfg(phi, label, scenario_id=sid)
-        rows.append(configuration_row(cfg, section="relation_verdicts"))
-
-    cfg = _spin_cfg(90.0, "+z", value_map="scale:100", scenario_id="spin-rescale-phi90-plus-z-scale100")
-    rows.append(configuration_row(cfg, section="rescale_demo"))
+        rows.append(row)
     return rows

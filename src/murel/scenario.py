@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import reprlib
 from dataclasses import MISSING, dataclass, fields
 from itertools import chain
@@ -61,7 +62,7 @@ from .model import (
     pauli_observable,
     rescale_mvo,
 )
-from .relations import DEFAULT_TOL
+from .relations import DEFAULT_TOL, _tolerance
 
 __all__ = [
     "BuiltConfiguration",
@@ -142,9 +143,13 @@ def _number(obj: Any, path: str) -> float:
 
 
 def _integer(obj: Any, path: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ScenarioError(f"expected an integer, got {_brief(obj)}", path)
-    return obj
+    """A Python or numpy integer, not a bool, as a Python int; nothing is truncated."""
+    if not isinstance(obj, bool):
+        try:
+            return operator.index(obj)
+        except TypeError:
+            pass
+    raise ScenarioError(f"expected an integer, got {_brief(obj)}", path)
 
 
 def _positive_integer(obj: Any, path: str) -> int:
@@ -152,14 +157,6 @@ def _positive_integer(obj: Any, path: str) -> int:
     if n < 1:
         raise ScenarioError(f"{path.rpartition('.')[2]} must be positive", path)
     return n
-
-
-def _tolerance(obj: Any, path: str) -> float:
-    """A slack tolerance: a finite number greater than 0."""
-    tol = _number(obj, path)
-    if tol <= 0:
-        raise ScenarioError("tolerance must be positive", path)
-    return tol
 
 
 def _complex_pair(obj: Any, path: str) -> complex:
@@ -361,7 +358,7 @@ class Scenario:
             state_spec=state_spec,
             x0_spec=x0_spec,
             y0_spec=y0_spec,
-            tolerance=_tolerance(self.tolerance, "scenario.tolerance"),
+            tolerance=_at("scenario.tolerance", _tolerance, self.tolerance),
             seed=_integer(self.seed, "scenario.seed"),
         )
 

@@ -42,12 +42,12 @@ import numpy as np
 
 from .linalg import PureState
 from .model import IndirectModel, _graded_meter, _pointer_window
-from .relations import DEFAULT_TOL, RelationId, RelationVerdict, check
+from .relations import DEFAULT_TOL, RelationId, RelationVerdict, _check, _tolerance, check
 from .scenario import (
     ScenarioError,
     _at,
+    _integer,
     _resolve_observable,
-    _tolerance,
     _value_map,
     build_configuration,
     build_model,
@@ -208,7 +208,8 @@ class _SpaceImpl:
         probe_dim = space.probe_dim
         if probe_dim is None:
             probe_dim = 4 if self.family is Family.SHIFT else 2
-        self.object_dim, self.probe_dim = int(space.object_dim), int(probe_dim)
+        self.object_dim = _integer(space.object_dim, "SearchSpace.object_dim")
+        self.probe_dim = _integer(probe_dim, "SearchSpace.probe_dim")
         if self.family is Family.SIGMA_PHI and (self.object_dim, self.probe_dim) != (2, 2):
             raise ValueError(f"sigma_phi is a qubit model: object_dim and probe_dim must be 2, "
                              f"got {self.object_dim} and {self.probe_dim}")
@@ -283,7 +284,7 @@ class _SpaceImpl:
     def evaluate(self, cand: _Candidate, relation_id, tol: float) -> tuple[float, RelationVerdict]:
         if cand.model is None:
             cand.model = self.recalibrate(build_model(*self.describe(cand), self.x0))
-        verdict = check(relation_id, cand.model, self.object_state(cand), self.x0, self.y0, tol=tol)
+        verdict = _check(relation_id, cand.model, self.object_state(cand), self.x0, self.y0, tol)
         return verdict.slack, verdict
 
     def scenario_doc(self, cand: _Candidate, tol: float, seed: int, label: str) -> dict:
@@ -336,16 +337,18 @@ def search_min_slack(
 
     budget counts configuration evaluations; budget 0 returns a result
     without a witness.  Deterministic in (space, relation, budget, seed).
-    The space's value map and tol are validated before the first
-    evaluation; a candidate whose measurement values leave the scenario
-    bound raises ScenarioError, so every evaluated slack is finite.
+    The integers budget and seed (never truncated), the space and tol are
+    validated before the first evaluation, and no candidate validates them
+    again; a candidate whose measurement values leave the scenario bound
+    raises ScenarioError, so every evaluated slack is finite.
     """
     rid = RelationId(relation_id)
+    budget = _integer(budget, "budget")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    tol = _tolerance(tol, "tol")
+    seed = _integer(seed, "seed")
+    tol = _at("tol", _tolerance, tol)
     impl = _SpaceImpl(space)
-    seed, budget = int(seed), int(budget)
     rng = np.random.default_rng(seed)
 
     best_cand: _Candidate | None = None
