@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
+import reprlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -82,6 +85,43 @@ NAMED_QUBIT_STATES = {
 }
 
 
+class _BriefRepr(reprlib.Repr):
+    """repr for error messages, cut short in nesting depth, length and digits."""
+
+    def repr_int(self, x, level):
+        # str() of an integer past 4300 digits raises
+        return repr(x) if x.bit_length() <= 128 else f"<{x.bit_length()}-bit integer>"
+
+
+_brief = _BriefRepr().repr
+
+
+def _real(obj: object) -> float:
+    """The one rule for a real argument: a finite Python or numpy real, not a bool, as a float.
+
+    Anything else raises ValueError.
+    """
+    if isinstance(obj, bool) or not isinstance(obj, numbers.Real):
+        raise ValueError(f"expected a number, got {_brief(obj)}")
+    try:
+        value = float(obj)
+    except OverflowError:
+        raise ValueError("integer beyond the float range") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {value!r}")
+    return value
+
+
+def _integer(obj: object) -> int:
+    """A Python or numpy integer, not a bool, as a Python int; nothing is truncated."""
+    if not isinstance(obj, bool):
+        try:
+            return operator.index(obj)
+        except TypeError:
+            pass
+    raise ValueError(f"expected an integer, got {_brief(obj)}")
+
+
 def pauli_observable(name: str) -> HermitianObservable:
     try:
         return NAMED_OBSERVABLES[name]
@@ -132,21 +172,23 @@ class IndirectModel:
     value_map_xt: Callable[[float], float] | None = None
 
     def __post_init__(self):
-        if self.object_dim < 1 or self.probe_dim < 1:
+        object_dim, probe_dim = _integer(self.object_dim), _integer(self.probe_dim)
+        if object_dim < 1 or probe_dim < 1:
             raise ValueError("dimensions must be positive")
-        d = self.object_dim * self.probe_dim
+        d = object_dim * probe_dim
         u = as_complex_matrix(self.unitary, name="unitary")
         if u.shape[0] != d:
             raise ValueError(f"unitary dim {u.shape[0]} != object*probe dim {d}")
         _require_unitary(u)
-        if self.probe_state.dim != self.probe_dim:
+        if self.probe_state.dim != probe_dim:
             raise ValueError("probe state dim does not match probe_dim")
-        if self.meter.dim != self.probe_dim:
+        if self.meter.dim != probe_dim:
             raise ValueError("meter dim does not match probe_dim")
         u.setflags(write=False)
-        object.__setattr__(self, "unitary", u)
-        if self.value_map_xt is None:
-            object.__setattr__(self, "value_map_xt", self.value_map_x0)
+        vars(self).update(
+            object_dim=object_dim, probe_dim=probe_dim, unitary=u,
+            value_map_xt=self.value_map_x0 if self.value_map_xt is None else self.value_map_xt,
+        )
 
     @classmethod
     def _trusted(
@@ -232,16 +274,10 @@ def build_sigma_phi(phi: float) -> IndirectModel:
     |psi> (x) |0>  ->  (P+ |psi>) (x) |0> + (P- |psi>) (x) |1>, with meter
     diag(+1, -1) in the pointer basis and identity value map.  With phi
     detuned from 0 this is a deliberately miscalibrated measurement of
-    sigma_x.  phi must be a finite angle in radians; anything else raises
-    ValueError.
+    sigma_x.  phi is an angle in radians, read by the real-number rule
+    (_real): anything but a finite real raises ValueError.
     """
-    try:
-        phi = float(phi)
-    except OverflowError:
-        raise ValueError("phi beyond the float range") from None
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi!r}")
-    sp = sigma_phi_matrix(phi)
+    sp = sigma_phi_matrix(_real(phi))
     p_plus = (ID2 + sp) / 2
     p_minus = (ID2 - sp) / 2
     u = tensor(p_plus, ID2) + tensor(p_minus, PAULI_X)
@@ -295,6 +331,7 @@ def build_shift_model(
     spectrum.  The interaction permutes pointer levels on each eigenspace of
     x0, so it is unitary as far as x0's eigenvectors are orthonormal.
     """
+    probe_dim = _integer(probe_dim)
     if probe_state.dim != probe_dim:
         raise ValueError("probe state dim does not match probe_dim")
     lo, hi = _pointer_window(x0, probe_dim)

@@ -7,15 +7,12 @@ so each commutator bound is 0.5 * |<[A, B]>|.
 
 from __future__ import annotations
 
-import math
-import numbers
-import reprlib
 from dataclasses import dataclass
 from enum import Enum
 
 from .linalg import HermitianObservable, PureState
 from .metrics import Evaluation
-from .model import ZERO_PROB, EvolvedOperators, IndirectModel
+from .model import ZERO_PROB, EvolvedOperators, IndirectModel, _real
 
 __all__ = ["DEFAULT_TOL", "RelationId", "RelationVerdict", "check", "check_all", "verdicts"]
 
@@ -24,19 +21,12 @@ READOUT_FLOOR = ZERO_PROB  # SQL_COND_E3 skips readouts at or below this probabi
 
 
 def _tolerance(tol: object) -> float:
-    """A slack tolerance: a finite number greater than 0 (a bool is not a number).
+    """A slack tolerance: a number by the real-number rule (model._real) greater than 0.
 
     Anything else raises ValueError, so a verdict never reads a nan, infinite
     or nonpositive tolerance.
     """
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
-        raise ValueError(f"expected a number, got {reprlib.repr(tol)}")
-    try:
-        value = float(tol)
-    except OverflowError:
-        raise ValueError("number beyond the float range") from None
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {value!r}")
+    value = _real(tol)
     if value <= 0:
         raise ValueError("tolerance must be positive")
     return value

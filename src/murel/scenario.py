@@ -41,8 +41,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
-import reprlib
 from dataclasses import MISSING, dataclass, fields
 from itertools import chain
 from typing import Any, Callable
@@ -54,7 +52,10 @@ from .model import (
     NAMED_OBSERVABLES,
     NAMED_QUBIT_STATES,
     IndirectModel,
+    _brief,
+    _integer,
     _meter_observable,
+    _real,
     _require_unitary,
     build_shift_model,
     build_sigma_phi,
@@ -104,17 +105,6 @@ def _at(path: str, fn: Callable, *args):
         raise ScenarioError(str(e), path) from None
 
 
-class _BriefRepr(reprlib.Repr):
-    """repr for error messages, cut short in nesting depth, length and digits."""
-
-    def repr_int(self, x, level):
-        # str() of an integer past 4300 digits raises
-        return repr(x) if x.bit_length() <= 128 else f"<{x.bit_length()}-bit integer>"
-
-
-_brief = _BriefRepr().repr
-
-
 def _require_dict(obj: Any, path: str) -> dict:
     if not isinstance(obj, dict):
         raise ScenarioError(f"expected an object, got {type(obj).__name__}", path)
@@ -130,30 +120,8 @@ def _check_keys(obj: dict, path: str, required: set[str], optional: set[str] = f
         raise ScenarioError(f"missing required keys {missing!r}", path)
 
 
-def _number(obj: Any, path: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ScenarioError(f"expected a number, got {_brief(obj)}", path)
-    try:
-        v = float(obj)
-    except OverflowError:
-        raise ScenarioError("integer beyond the float range", path) from None
-    if not math.isfinite(v):
-        raise ScenarioError(f"non-finite number {obj!r}", path)
-    return v
-
-
-def _integer(obj: Any, path: str) -> int:
-    """A Python or numpy integer, not a bool, as a Python int; nothing is truncated."""
-    if not isinstance(obj, bool):
-        try:
-            return operator.index(obj)
-        except TypeError:
-            pass
-    raise ScenarioError(f"expected an integer, got {_brief(obj)}", path)
-
-
 def _positive_integer(obj: Any, path: str) -> int:
-    n = _integer(obj, path)
+    n = _at(path, _integer, obj)
     if n < 1:
         raise ScenarioError(f"{path.rpartition('.')[2]} must be positive", path)
     return n
@@ -162,7 +130,7 @@ def _positive_integer(obj: Any, path: str) -> int:
 def _complex_pair(obj: Any, path: str) -> complex:
     if not isinstance(obj, list) or len(obj) != 2:
         raise ScenarioError(f"expected a [re, im] pair, got {_brief(obj)}", path)
-    return complex(_number(obj[0], f"{path}[0]"), _number(obj[1], f"{path}[1]"))
+    return complex(_at(f"{path}[0]", _real, obj[0]), _at(f"{path}[1]", _real, obj[1]))
 
 
 def _plain_pairs(pairs: list) -> np.ndarray | None:
@@ -232,7 +200,7 @@ def matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
 _POSITIVE_INTEGER = (_positive_integer, int)
 _UNIT_VECTOR = (_unit_vector, vector_pairs)
 _MODEL_FIELDS = {
-    "sigma_phi": {"phi_degrees": (_number, float)},
+    "sigma_phi": {"phi_degrees": (lambda obj, path: _at(path, _real, obj), float)},
     "shift": {"probe_dim": _POSITIVE_INTEGER, "probe_state": _UNIT_VECTOR},
     "explicit": {"object_dim": _POSITIVE_INTEGER, "unitary": (_unitary, matrix_pairs),
                  "probe_state": _UNIT_VECTOR, "meter": (_complex_matrix, matrix_pairs)},
@@ -359,7 +327,7 @@ class Scenario:
             x0_spec=x0_spec,
             y0_spec=y0_spec,
             tolerance=_at("scenario.tolerance", _tolerance, self.tolerance),
-            seed=_integer(self.seed, "scenario.seed"),
+            seed=_at("scenario.seed", _integer, self.seed),
         )
 
     @classmethod
@@ -426,7 +394,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
         required={"schema_version", "model", "state", "observables"},
         optional={"id", "value_map", "tolerance", "seed"},
     )
-    version = _integer(top["schema_version"], "scenario.schema_version")
+    version = _at("scenario.schema_version", _integer, top["schema_version"])
     if version != SCHEMA_VERSION:
         raise ScenarioError(
             f"unsupported schema_version {_brief(version)}", "scenario.schema_version"

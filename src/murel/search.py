@@ -41,12 +41,11 @@ from enum import Enum
 import numpy as np
 
 from .linalg import PureState
-from .model import IndirectModel, _graded_meter, _pointer_window
+from .model import IndirectModel, _graded_meter, _integer, _pointer_window
 from .relations import DEFAULT_TOL, RelationId, RelationVerdict, _check, _tolerance, check
 from .scenario import (
     ScenarioError,
     _at,
-    _integer,
     _resolve_observable,
     _value_map,
     build_configuration,
@@ -110,11 +109,14 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))  # R's diagonal is nonzero with probability 1
 
 
-def _check_random_dims(object_dim: int, probe_dim: int) -> None:
+def _check_random_dims(object_dim: int, probe_dim: int) -> tuple[int, int]:
+    """The dimensions of a random model, read by the integer rule, as Python ints."""
+    object_dim, probe_dim = _integer(object_dim), _integer(probe_dim)
     if object_dim < 2 or probe_dim < 2:
         raise ValueError("random models need object and probe dims >= 2")
     if object_dim * probe_dim > MAX_RANDOM_MODEL_DIM:
         raise ValueError(f"product dimension {object_dim * probe_dim} exceeds {MAX_RANDOM_MODEL_DIM}")
+    return object_dim, probe_dim
 
 
 def _random_interaction(
@@ -126,7 +128,7 @@ def _random_interaction(
 
 def random_model(object_dim: int, probe_dim: int, rng: np.random.Generator) -> IndirectModel:
     """Haar-random interaction with a Haar-random probe and an integer-graded meter."""
-    _check_random_dims(object_dim, probe_dim)
+    object_dim, probe_dim = _check_random_dims(object_dim, probe_dim)
     u, probe = _random_interaction(object_dim, probe_dim, rng)
     return IndirectModel._trusted(object_dim, probe_dim, u, probe, _graded_meter(probe_dim))
 
@@ -208,8 +210,8 @@ class _SpaceImpl:
         probe_dim = space.probe_dim
         if probe_dim is None:
             probe_dim = 4 if self.family is Family.SHIFT else 2
-        self.object_dim = _integer(space.object_dim, "SearchSpace.object_dim")
-        self.probe_dim = _integer(probe_dim, "SearchSpace.probe_dim")
+        self.object_dim = _at("SearchSpace.object_dim", _integer, space.object_dim)
+        self.probe_dim = _at("SearchSpace.probe_dim", _integer, probe_dim)
         if self.family is Family.SIGMA_PHI and (self.object_dim, self.probe_dim) != (2, 2):
             raise ValueError(f"sigma_phi is a qubit model: object_dim and probe_dim must be 2, "
                              f"got {self.object_dim} and {self.probe_dim}")
@@ -343,10 +345,10 @@ def search_min_slack(
     raises ScenarioError, so every evaluated slack is finite.
     """
     rid = RelationId(relation_id)
-    budget = _integer(budget, "budget")
+    budget = _at("budget", _integer, budget)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    seed = _integer(seed, "seed")
+    seed = _at("seed", _integer, seed)
     tol = _at("tol", _tolerance, tol)
     impl = _SpaceImpl(space)
     rng = np.random.default_rng(seed)
