@@ -23,7 +23,6 @@ writes the fields it is given unchecked.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -81,6 +80,24 @@ def spectral_norm(a) -> float:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+class _cached:
+    """A method read as an attribute whose value is computed once per instance, on first read.
+
+    The value is stored in the instance ``__dict__``, which later reads find
+    before this non-data descriptor, so only the first read calls the method.
+    Unlike Python 3.11's ``functools.cached_property`` it takes no lock.
+    """
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,10 +199,15 @@ class HermitianObservable:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @functools.cached_property
+    @_cached
     def _clusters(self) -> tuple[tuple[float, np.ndarray], ...]:
         """eigen_clusters of the spectrum, found once per observable; the index arrays are read-only."""
         return tuple((value, _freeze(idx)) for value, idx in eigen_clusters(self.eigenvalues))
+
+    @_cached
+    def _cluster_columns(self) -> tuple[tuple[float, slice], ...]:
+        """Each of _clusters with its ascending, contiguous index array as a slice."""
+        return tuple((value, slice(int(idx[0]), int(idx[-1]) + 1)) for value, idx in self._clusters)
 
 
 def herm_eig(a) -> HermitianObservable:

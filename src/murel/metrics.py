@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .linalg import HermitianObservable, MixedState, PureState, spectral_norm
+from .linalg import HermitianObservable, MixedState, PureState, _cached, spectral_norm
 from .model import (
     ZERO_PROB,
     IndirectModel,
@@ -150,59 +149,59 @@ class Evaluation:
         self._psi, self._x_psi, self._y_psi = psi, x_psi, y_psi
 
     # U x_t (psi (x) xi) = (x0 (x) I) U (psi (x) xi), and likewise for y_t
-    @cached_property
+    @_cached
     def _x_t_amps(self) -> np.ndarray:
         return self.x0.matrix @ self.amps
 
-    @cached_property
+    @_cached
     def _y_t_amps(self) -> np.ndarray:
         return self._y0.matrix @ self.amps
 
-    @cached_property
+    @_cached
     def _mvo_amps(self) -> np.ndarray:
         return self.amps * self.model.measurement_values[0]  # U f(X_t) (psi (x) xi)
 
-    @cached_property
+    @_cached
     def _mvo_mean(self) -> float:
         return float(np.vdot(self.amps, self._mvo_amps).real)
 
-    @cached_property
+    @_cached
     def sigma_x0(self) -> float:
         return _spread(self._psi, self._x_psi)
 
-    @cached_property
+    @_cached
     def sigma_y0(self) -> float:
         return _spread(self._psi, self._y_psi)
 
-    @cached_property
+    @_cached
     def object_bound(self) -> float:
         return float(abs(np.vdot(self._x_psi, self._y_psi).imag))  # 0.5 |<[x0, y0]>|
 
-    @cached_property
+    @_cached
     def eps_x0(self) -> float:
         return _norm(self._mvo_amps - self._x_amps)
 
-    @cached_property
+    @_cached
     def eps_xt(self) -> float:
         return _norm(self.amps * self.model.measurement_values[1] - self._x_t_amps)
 
-    @cached_property
+    @_cached
     def eta_y0(self) -> float:
         return _norm(self._y_t_amps - self._y_amps)
 
-    @cached_property
+    @_cached
     def sigma_mvo(self) -> float:
         return _norm(self._mvo_amps - self._mvo_mean * self.amps)
 
-    @cached_property
+    @_cached
     def delta(self) -> float:
         return self._mvo_mean - float(np.vdot(self._psi, self._x_psi).real)
 
-    @cached_property
+    @_cached
     def eps_sys(self) -> float:
         return abs(self.delta)
 
-    @cached_property
+    @_cached
     def eps_rand(self) -> float | None:
         return (
             math.sqrt(max(self.eps_x0 * self.eps_x0 - self.eps_sys * self.eps_sys, 0.0))
@@ -210,11 +209,11 @@ class Evaluation:
             else None
         )
 
-    @cached_property
+    @_cached
     def sigma_yt(self) -> float:
         return _spread(self.amps, self._y_t_amps)
 
-    @cached_property
+    @_cached
     def evolved_bound(self) -> float:
         return float(abs(np.vdot(self._x_t_amps, self._y_t_amps).imag))  # 0.5 |<[x_t, y_t]>|
 
@@ -225,7 +224,7 @@ class Evaluation:
             self.delta, self.eps_sys, self.eps_rand, res_x0, res_xt,
         )
 
-    @cached_property
+    @_cached
     def readouts(self) -> list[tuple[float, np.ndarray, float]]:
         return readout_clusters(self.model, self.amps)
 

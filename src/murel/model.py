@@ -15,6 +15,7 @@ import math
 import numbers
 import operator
 import reprlib
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +26,7 @@ from .linalg import (
     HermitianObservable,
     MixedState,
     PureState,
+    _cached,
     _freeze,
     _mapped_spectrum,
     as_complex_matrix,
@@ -214,7 +216,7 @@ class IndirectModel:
     def dim(self) -> int:
         return self.object_dim * self.probe_dim
 
-    @functools.cached_property
+    @_cached
     def measurement_values(self) -> tuple[np.ndarray, np.ndarray]:
         """value_map_x0 and value_map_xt applied to the meter eigenvalues, in the meter's
         eigenvector order; computed once per model."""
@@ -334,7 +336,7 @@ def build_shift_model(
     probe_dim = _integer(probe_dim)
     if probe_state.dim != probe_dim:
         raise ValueError("probe state dim does not match probe_dim")
-    lo, hi = _pointer_window(x0, probe_dim)
+    (lo, hi), u = _shift_interaction(x0, probe_dim)
     # Never empty: _pointer_window caps probe_dim at MAX_SHIFT_DIM = 16^2, so some |amplitude| >= 1/16.
     populated = np.flatnonzero(np.abs(probe_state.amplitudes) > POPULATED_ATOL)
     k_min, k_max = int(populated[0]), int(populated[-1])
@@ -343,6 +345,30 @@ def build_shift_model(
             f"pointer shift would wrap around the register: populated levels [{k_min}, {k_max}] "
             f"leave the levels [{lo}, {hi}] that every eigenvalue shift keeps in 0..{probe_dim - 1}"
         )
+    meter = _graded_meter(probe_dim)
+    pointer_mean = float(expectation(probe_state, meter.matrix).real)
+
+    def centered(v: float, _mu: float = pointer_mean) -> float:
+        return v - _mu
+
+    return IndirectModel._trusted(x0.dim, probe_dim, u, probe_state, meter, centered)
+
+
+# Each live observable's last shift interaction, (probe_dim, pointer window, unitary); an entry
+# holds at most MAX_SHIFT_DIM^2 complex numbers (1 MiB) and is freed with its observable.
+_SHIFT_INTERACTIONS = weakref.WeakKeyDictionary()
+
+
+def _shift_interaction(x0: HermitianObservable, probe_dim: int) -> tuple[tuple[int, int], np.ndarray]:
+    """The pointer window and the read-only interaction unitary of x0's shift readout on probe_dim levels.
+
+    Both depend on (x0, probe_dim) alone, so they are computed once for the
+    last probe_dim x0 was read out with.
+    """
+    cached = _SHIFT_INTERACTIONS.get(x0)
+    if cached is not None and cached[0] == probe_dim:
+        return cached[1:]
+    window = _pointer_window(x0, probe_dim)
     # u[(i, (l + s) % p), (j, l)] += P[i, j] for each eigenspace projector P of
     # x0 and its pointer shift s: the nonzero entries of kron(P, step^s).
     o, levels = x0.dim, np.arange(probe_dim)
@@ -350,15 +376,9 @@ def build_shift_model(
     for value, idx in x0._clusters:
         vecs = x0.eigenvectors[:, idx]
         u[:, (levels + int(round(value))) % probe_dim, :, levels] += vecs @ vecs.conj().T
-    meter = _graded_meter(probe_dim)
-    pointer_mean = float(expectation(probe_state, meter.matrix).real)
-
-    def centered(v: float, _mu: float = pointer_mean) -> float:
-        return v - _mu
-
-    return IndirectModel._trusted(
-        o, probe_dim, u.reshape(o * probe_dim, o * probe_dim), probe_state, meter, centered
-    )
+    u = _freeze(u.reshape(o * probe_dim, o * probe_dim))
+    _SHIFT_INTERACTIONS[x0] = probe_dim, window, u
+    return window, u
 
 
 def rescale_mvo(model: IndirectModel, f: Callable[[float], float]) -> IndirectModel:
@@ -404,10 +424,14 @@ def readout_clusters(model: IndirectModel, amplitudes: np.ndarray) -> list[tuple
     coefficients are its columns in the cluster, object index by
     cluster-internal index.
     """
-    return [
-        (value, amplitudes[:, idx], float(np.sum(np.abs(amplitudes[:, idx]) ** 2)))
-        for value, idx in model.meter._clusters
-    ]
+    readouts = []
+    for value, columns in model.meter._cluster_columns:
+        coeffs = amplitudes[:, columns]
+        if coeffs.shape[1] > 1:
+            # column-major, as an index array takes the columns, so the sum below adds in that order
+            coeffs = coeffs.copy(order="F")
+        readouts.append((value, coeffs, float((np.abs(coeffs) ** 2).sum())))
+    return readouts
 
 
 def readout_probabilities(model: IndirectModel, state: PureState) -> list[tuple[float, float]]:

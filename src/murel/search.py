@@ -24,8 +24,16 @@ by construction, so ``build_model`` assembles them unchecked; a fixed shift
 probe is checked once, at entry.  A refine candidate whose parameters equal
 the incumbent's (a coordinate clamped at its bound) is the incumbent: it
 takes the incumbent's slack without being built or evaluated, and counts as
-an unproductive step.  ``SearchResult.evaluations`` counts stream positions,
-these included, so it equals the budget.
+an unproductive step.  Refine memo: the refine candidates of one incumbent
+share a memo of their results keyed by ``params``, looked up in
+``_SpaceImpl.evaluate``; a candidate equal to an evaluated sibling (a later
+sweep at one step size that draws the same sign) takes the sibling's slack
+without being built or checked.  Such a repeat never improves the
+incumbent, which would have replaced the memo, so the memo changes no bit of
+the stream or the result.  It holds at most 2nS results (n coordinates, S
+step sizes) and goes with its incumbent; an explore draw has no memo and is
+always evaluated.  ``SearchResult.evaluations`` counts stream positions,
+clamped steps and memo hits included, so it equals the budget.
 
 RNG policy: one PCG64 generator, ``numpy.random.default_rng(seed)``, feeds
 the whole candidate stream; results record the generator name.
@@ -35,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -88,21 +96,31 @@ def substream(seed: int, index: int) -> np.random.Generator:
     """Disjoint child generator #index of a root seed (SeedSequence spawn key).
 
     A public helper that murel itself does not use: the search draws from one
-    root generator, ``numpy.random.default_rng(seed)``.
+    root generator, ``numpy.random.default_rng(seed)``.  seed and index are
+    read by the integer rule (model._integer), and numpy rejects negatives.
     """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=(int(index),))))
+    seq = np.random.SeedSequence(_integer(seed), spawn_key=(_integer(index),))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def _positive_dim(dim: int) -> int:
+    """A dimension read by the integer rule, at least 1."""
+    dim = _integer(dim)
+    if dim < 1:
+        raise ValueError("dim must be positive")
+    return dim
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
     """Haar-distributed pure state: normalized i.i.d. complex Gaussian vector."""
-    if dim < 1:
-        raise ValueError("dim must be positive")
+    dim = _positive_dim(dim)
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return PureState._trusted(z / np.linalg.norm(z))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Ginibre matrix, phases fixed."""
+    dim = _positive_dim(dim)
     z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -138,18 +156,17 @@ def state_from_angles(dim: int, angles) -> PureState:
     angles = [float(a) for a in angles]
     if len(angles) != 2 * dim - 2:
         raise ValueError(f"need {2 * dim - 2} angles for dim {dim}, got {len(angles)}")
-    polar = angles[: dim - 1]
-    phases = angles[dim - 1 :]
-    amps = np.zeros(dim, dtype=complex)
+    amps = []
     sin_prod = 1.0
-    for i, th in enumerate(polar):
-        amps[i] = sin_prod * math.cos(th)
+    for th in angles[: dim - 1]:
+        amps.append(sin_prod * math.cos(th))
         sin_prod *= math.sin(th)
-    amps[dim - 1] = sin_prod
-    for i, al in enumerate(phases, start=1):
-        amps[i] *= complex(math.cos(al), math.sin(al))
-    nrm = np.linalg.norm(amps)
-    return PureState._trusted(amps / nrm)
+    amps.append(sin_prod)
+    for i, al in enumerate(angles[dim - 1 :], start=1):
+        # the full complex product, as numpy's complex multiply forms it, signed zeros included
+        amps[i] = complex(amps[i]) * complex(math.cos(al), math.sin(al))
+    amps = np.array(amps, dtype=complex)
+    return PureState._trusted(amps / np.linalg.norm(amps))
 
 
 def _state_bounds(dim: int) -> list[tuple[float, float, bool]]:
@@ -186,6 +203,10 @@ class _Candidate:
     params: tuple[float, ...]
     context: tuple | None = None  # random_unitary: (unitary, probe amplitudes)
     model: IndirectModel | None = None  # the recalibrated built model, set on first evaluation
+    # Refine memos, (slack, verdict) by params: siblings is the one a refine candidate shares with its
+    # parent's other refine candidates (None for an explore draw), children the one its own share.
+    siblings: dict | None = None
+    children: dict = field(default_factory=dict)
 
 
 def _default_pair(family: Family, dim: int) -> tuple:
@@ -261,7 +282,7 @@ class _SpaceImpl:
         params = list(cand.params)
         params[coord] = float(v)
         model = cand.model if coord >= self.n_model_params else None
-        return _Candidate(tuple(params), cand.context, model)
+        return _Candidate(tuple(params), cand.context, model, cand.children)
 
     def object_state(self, cand: _Candidate) -> PureState:
         return state_from_angles(self.object_dim, cand.params[self.n_model_params :])
@@ -284,9 +305,15 @@ class _SpaceImpl:
         return "explicit", params
 
     def evaluate(self, cand: _Candidate, relation_id, tol: float) -> tuple[float, RelationVerdict]:
+        """(slack, verdict) of a candidate; a refine candidate equal to an evaluated sibling takes its result."""
+        memo = cand.siblings
+        if memo is not None and cand.params in memo:
+            return memo[cand.params]
         if cand.model is None:
             cand.model = self.recalibrate(build_model(*self.describe(cand), self.x0))
         verdict = _check(relation_id, cand.model, self.object_state(cand), self.x0, self.y0, tol)
+        if memo is not None:
+            memo[cand.params] = verdict.slack, verdict
         return verdict.slack, verdict
 
     def scenario_doc(self, cand: _Candidate, tol: float, seed: int, label: str) -> dict:

@@ -6,10 +6,10 @@ value is drawn from what no rule accepts for that kind of argument: nan,
 infinities, bools and numpy bools, strings, bytes, None, lists and arrays,
 complex numbers, integers beyond the float range, and numpy scalars; a
 non-integral or integral float for an integer; zero or a negative number
-for a tolerance, a budget, a seed or a dimension.  The call must raise
-ValueError (ScenarioError is one) or TypeError: it never returns, and it
-never raises numpy's LinAlgError (also a ValueError), an OverflowError or
-another ArithmeticError.  Budgets are 2 at most, so no example runs long.
+for a tolerance, a budget, a seed or a dimension, and a negative spawn
+index.  The call must raise ValueError (ScenarioError is one) or
+TypeError: it never returns, and it never raises numpy's LinAlgError
+(also a ValueError), an OverflowError or another ArithmeticError.  Budgets are 2 at most, so no example runs long.
 """
 from __future__ import annotations
 
@@ -32,7 +32,15 @@ from murel.model import (
 )
 from murel.relations import check, check_all, verdicts
 from murel.scenario import Scenario
-from murel.search import Family, SearchSpace, random_model, search_min_slack
+from murel.search import (
+    Family,
+    SearchSpace,
+    haar_unitary,
+    random_model,
+    random_pure_state,
+    search_min_slack,
+    substream,
+)
 
 NOT_A_NUMBER = st.one_of(
     st.sampled_from([True, False, np.True_, np.False_, None, "1.5", "nan", "", b"1", [1.0], (2,),
@@ -104,6 +112,10 @@ CASES = {
     "Scenario.phi_degrees": (MALFORMED_REAL, sigma_phi_scenario),
     "Scenario.tolerance": (MALFORMED_TOLERANCE, lambda v: sigma_phi_scenario(tolerance=v)),
     "Scenario.seed": (NOT_AN_INTEGER, lambda v: sigma_phi_scenario(seed=v)),
+    "substream.seed": (st.one_of(NOT_AN_INTEGER, NEGATIVE_INTEGER), lambda v: substream(v, 0)),
+    "substream.index": (st.one_of(NOT_AN_INTEGER, NEGATIVE_INTEGER), lambda v: substream(0, v)),
+    "random_pure_state.dim": (MALFORMED_DIM, lambda v: random_pure_state(v, np.random.default_rng(0))),
+    "haar_unitary.dim": (MALFORMED_DIM, lambda v: haar_unitary(v, np.random.default_rng(0))),
 }
 
 
