@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 __all__ = [
     "DEGENERACY_GAP",
@@ -65,8 +66,9 @@ def as_complex_matrix(a, *, name: str = "matrix") -> np.ndarray:
 
 
 def max_abs(a) -> float:
+    """Largest |entry|, 0.0 for an empty array; np.max's own reduction, without its wrapper."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.maximum.reduce(np.abs(a), axis=None)) if a.size else 0.0
 
 
 def spectral_norm(a) -> float:
@@ -209,20 +211,30 @@ class HermitianObservable:
         """Each of _clusters with its ascending, contiguous index array as a slice."""
         return tuple((value, slice(int(idx[0]), int(idx[-1]) + 1)) for value, idx in self._clusters)
 
+    @_cached
+    def _conj_eigenvectors(self) -> np.ndarray:
+        """eigenvectors.conj(), read-only, computed once per observable."""
+        return _freeze(self.eigenvectors.conj())
+
 
 def herm_eig(a) -> HermitianObservable:
     """Eigendecompose a Hermitian matrix into a HermitianObservable.
 
     Input may drift from exact hermiticity by up to HERM_ACCEPT_ATOL; it is
     symmetrized before decomposition.  Larger drift is rejected.  The
-    decomposition is eigh's own, so it is not re-checked.
+    decomposition is eigh's own, the gufunc eigh_lo that numpy.linalg.eigh
+    calls, without its wrapper, so it is not re-checked; the NaNs the gufunc
+    returns where LAPACK does not converge raise LinAlgError, as eigh does.
     """
     m = as_complex_matrix(a, name="observable")
     drift = max_abs(m - m.conj().T)
     if drift > HERM_ACCEPT_ATOL:
         raise ValueError(f"matrix is not Hermitian (max |A - A^dag| = {drift!r})")
     m = (m + m.conj().T) / 2
-    w, v = np.linalg.eigh(m)
+    with np.errstate(all="ignore"):
+        w, v = _umath_linalg.eigh_lo(m, signature="D->dD")
+    if np.isnan(w).any():
+        raise LinAlgError("Eigenvalues did not converge")
     return HermitianObservable._trusted(m, w, v)
 
 

@@ -409,7 +409,7 @@ def evolved_amplitudes(model: IndirectModel, vectors: np.ndarray) -> np.ndarray:
     n = vectors.shape[0]
     joint = (vectors[:, :, None] * model.probe_state.amplitudes).reshape(n, model.dim)
     evolved = (joint @ model.unitary.T).reshape(n, model.object_dim, model.probe_dim)
-    return evolved @ model.meter.eigenvectors.conj()
+    return evolved @ model.meter._conj_eigenvectors
 
 
 def _evolved_state(model: IndirectModel, state: PureState) -> np.ndarray:
@@ -430,7 +430,7 @@ def readout_clusters(model: IndirectModel, amplitudes: np.ndarray) -> list[tuple
         if coeffs.shape[1] > 1:
             # column-major, as an index array takes the columns, so the sum below adds in that order
             coeffs = coeffs.copy(order="F")
-        readouts.append((value, coeffs, float((np.abs(coeffs) ** 2).sum())))
+        readouts.append((value, coeffs, float(np.add.reduce(np.square(np.abs(coeffs)), axis=None))))
     return readouts
 
 

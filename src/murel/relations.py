@@ -57,8 +57,12 @@ class RelationVerdict:
 
 
 def _verdict(relation_id: RelationId, lhs: float, rhs: float, tol: float) -> RelationVerdict:
+    """The verdict on lhs >= rhs, its fields set directly, as the _trusted constructors set theirs."""
     lhs, rhs = float(lhs), float(rhs)
-    return RelationVerdict(relation_id.value, lhs, rhs, lhs - rhs, lhs - rhs >= -tol, tol)
+    verdict = object.__new__(RelationVerdict)
+    vars(verdict).update(relation_id=relation_id.value, lhs=lhs, rhs=rhs, slack=lhs - rhs,
+                         holds=lhs - rhs >= -tol, tol=tol)
+    return verdict
 
 
 def _worst_readout(ev: Evaluation, readout_floor: float) -> tuple[float, float]:

@@ -15,13 +15,23 @@ an object state (random_unitary describes itself as an explicit model with
 ``model``'s graded meter diag(0..p-1)).  The search evaluates the model that
 ``scenario.build_model`` makes of that description and writes the witness
 document from it, so ``certify`` and ``murel check`` replay the very function
-the search evaluated, and the replayed slack is bit-identical.  Each built
-model travels with its candidate: a refine step that moves only object-state
-coordinates reuses its parent's model, which is the very ``build_model``
-result a rebuild would give, so reuse changes neither the stream nor replay.
-The states and Haar unitaries the search draws or parameterizes are valid
-by construction, so ``build_model`` assembles them unchecked; a fixed shift
-probe is checked once, at entry.  A refine candidate whose parameters equal
+the search evaluated, and the replayed slack is bit-identical.  Nothing is
+built twice where the search can tell: each built model and object state
+travels with its candidate, so a refine step that moves only object-state
+coordinates reuses its parent's model, and one that moves only model
+coordinates (the sigma_phi angle, the free shift probe's window angles)
+reuses its parent's state.  A family with model coordinates also keeps one
+model cache per search, keyed by the described model parameters (phi, or
+the probe amplitudes' bytes): at most MODEL_CACHE_SIZE = 64 recalibrated
+models, the oldest dropped first, so a step back to a model an earlier
+incumbent built takes it from the cache.  random_unitary and the
+fixed-probe shift family have no model coordinates and keep no cache.  A
+reused model or state is the very result a rebuild would give, so reuse
+changes neither the stream nor replay.  The states and Haar unitaries the
+search draws or parameterizes are valid by construction, so
+``build_model`` assembles them unchecked, and the search makes its states
+with an unchecked ``_state_from_angles``; a fixed shift probe is checked
+once, at entry.  A refine candidate whose parameters equal
 the incumbent's (a coordinate clamped at its bound) is the incumbent: it
 takes the incumbent's slack without being built or evaluated, and counts as
 an unproductive step.  Refine memo: the refine candidates of one incumbent
@@ -47,9 +57,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .linalg import PureState
-from .model import IndirectModel, _graded_meter, _integer, _pointer_window
+from .model import IndirectModel, _graded_meter, _integer, _pointer_window, _real
 from .relations import DEFAULT_TOL, RelationId, RelationVerdict, _check, _tolerance, check
 from .scenario import (
     ScenarioError,
@@ -80,6 +91,7 @@ EXPLORE_EVERY = 8   # every n-th evaluation is a fresh random draw
 RNG_NAME = "pcg64"
 MAX_RANDOM_MODEL_DIM = 16
 CERTIFY_ATOL = 1e-10  # a replayed witness slack may differ from the recorded one by this much
+MODEL_CACHE_SIZE = 64  # recalibrated models one search keeps, by their model parameters
 
 
 class CertificationError(RuntimeError):
@@ -119,12 +131,23 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Ginibre matrix, phases fixed."""
+    """Haar-distributed unitary: QR of a complex Ginibre matrix, phases fixed.
+
+    The QR is numpy.linalg.qr's own, without its wrapper: the gufunc qr_r_raw
+    factors the fresh matrix in place, leaving R in its upper triangle, and
+    qr_reduced forms Q from it.  A non-finite result raises LinAlgError, as
+    np.linalg.qr raises it.
+    """
     dim = _positive_dim(dim)
     z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))  # R's diagonal is nonzero with probability 1
+    with np.errstate(all="ignore"):
+        tau = _umath_linalg.qr_r_raw(z, signature="D->D")
+        q = _umath_linalg.qr_reduced(z, tau, signature="DD->D")
+        d = z.diagonal()  # R's diagonal, nonzero with probability 1
+        u = q * (d / np.abs(d))
+    if not np.isfinite(u).all():
+        raise LinAlgError("QR factorization gave a non-finite unitary")
+    return u
 
 
 def _check_random_dims(object_dim: int, probe_dim: int) -> tuple[int, int]:
@@ -152,10 +175,21 @@ def random_model(object_dim: int, probe_dim: int, rng: np.random.Generator) -> I
 
 
 def state_from_angles(dim: int, angles) -> PureState:
-    """Pure state from 2*dim-2 reals: dim-1 polar angles, then dim-1 phases."""
-    angles = [float(a) for a in angles]
+    """Pure state from 2*dim-2 reals: dim-1 polar angles, then dim-1 phases.
+
+    dim is read by the integer rule and each angle by the real-number rule
+    (model._real), so a string, a bool or a non-finite angle raises
+    ValueError.
+    """
+    dim = _positive_dim(dim)
+    angles = [_real(a) for a in angles]
     if len(angles) != 2 * dim - 2:
         raise ValueError(f"need {2 * dim - 2} angles for dim {dim}, got {len(angles)}")
+    return _state_from_angles(dim, angles)
+
+
+def _state_from_angles(dim: int, angles) -> PureState:
+    """state_from_angles for 2*dim-2 finite float angles, unchecked; the search's parameters are such."""
     amps = []
     sin_prod = 1.0
     for th in angles[: dim - 1]:
@@ -166,7 +200,8 @@ def state_from_angles(dim: int, angles) -> PureState:
         # the full complex product, as numpy's complex multiply forms it, signed zeros included
         amps[i] = complex(amps[i]) * complex(math.cos(al), math.sin(al))
     amps = np.array(amps, dtype=complex)
-    return PureState._trusted(amps / np.linalg.norm(amps))
+    re, im = amps.real, amps.imag
+    return PureState._trusted(amps / math.sqrt(re.dot(re) + im.dot(im)))  # np.linalg.norm's formula
 
 
 def _state_bounds(dim: int) -> list[tuple[float, float, bool]]:
@@ -202,7 +237,10 @@ class SearchSpace:
 class _Candidate:
     params: tuple[float, ...]
     context: tuple | None = None  # random_unitary: (unitary, probe amplitudes)
-    model: IndirectModel | None = None  # the recalibrated built model, set on first evaluation
+    # The recalibrated model and the object state, set on first evaluation; a refine step that moves
+    # only state coordinates hands the model on, one that moves only model coordinates the state.
+    model: IndirectModel | None = None
+    state: PureState | None = None
     # Refine memos, (slack, verdict) by params: siblings is the one a refine candidate shares with its
     # parent's other refine candidates (None for an explore draw), children the one its own share.
     siblings: dict | None = None
@@ -264,9 +302,14 @@ class _SpaceImpl:
         self.n_model_params = len(model_b)
         self.bounds = model_b + _state_bounds(self.object_dim)
         self.nparams = len(self.bounds)
+        self.lows = np.array([lo for lo, _, _ in self.bounds])
+        self.highs = np.array([hi for _, hi, _ in self.bounds])
+        # The model cache: recalibrated models in build order, at most MODEL_CACHE_SIZE; a family
+        # without model coordinates (random_unitary, fixed-probe shift) keeps none.
+        self.models: dict | None = {} if self.n_model_params else None
 
     def random(self, rng: np.random.Generator) -> _Candidate:
-        params = tuple(float(rng.uniform(lo, hi)) for lo, hi, _ in self.bounds)
+        params = tuple(rng.uniform(self.lows, self.highs).tolist())
         if self.family is Family.RANDOM_UNITARY:
             u, probe = _random_interaction(self.object_dim, self.probe_dim, rng)
             return _Candidate(params, (u, probe.amplitudes))
@@ -281,11 +324,35 @@ class _SpaceImpl:
             v = min(max(v, lo), hi)
         params = list(cand.params)
         params[coord] = float(v)
-        model = cand.model if coord >= self.n_model_params else None
-        return _Candidate(tuple(params), cand.context, model, cand.children)
+        if coord < self.n_model_params:  # the child shares its parent's object state
+            return _Candidate(tuple(params), cand.context, None, cand.state, cand.children)
+        return _Candidate(tuple(params), cand.context, cand.model, None, cand.children)
 
     def object_state(self, cand: _Candidate) -> PureState:
-        return state_from_angles(self.object_dim, cand.params[self.n_model_params :])
+        """The candidate's object state, made from its angles on first use."""
+        if cand.state is None:
+            cand.state = _state_from_angles(self.object_dim, cand.params[self.n_model_params :])
+        return cand.state
+
+    def build(self, cand: _Candidate) -> IndirectModel:
+        """The candidate's recalibrated model, from the model cache if the family keeps one.
+
+        The key is what a build reads besides x0: the phi angle (never -0.0:
+        draws and the periodic wrap give +0.0) or the probe amplitudes'
+        bytes, so window angles that describe one probe (a polar angle of 0
+        mutes the phase) share one model.
+        """
+        family, params = self.describe(cand)
+        models = self.models
+        if models is None:
+            return self.recalibrate(build_model(family, params, self.x0))
+        key = tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in params.values())
+        model = models.get(key)
+        if model is None:
+            if len(models) == MODEL_CACHE_SIZE:
+                del models[next(iter(models))]  # the oldest
+            model = models[key] = self.recalibrate(build_model(family, params, self.x0))
+        return model
 
     def describe(self, cand: _Candidate) -> tuple[str, dict]:
         """The scenario family and its model_params of a candidate."""
@@ -295,7 +362,7 @@ class _SpaceImpl:
             probe_amps = self.fixed_probe
             if probe_amps is None:
                 lo, hi = self.window
-                window_state = state_from_angles(hi - lo + 1, cand.params[: self.n_model_params])
+                window_state = _state_from_angles(hi - lo + 1, cand.params[: self.n_model_params])
                 probe_amps = np.zeros(self.probe_dim, dtype=complex)
                 probe_amps[lo : hi + 1] = window_state.amplitudes
             return "shift", {"probe_dim": self.probe_dim, "probe_state": probe_amps}
@@ -310,7 +377,7 @@ class _SpaceImpl:
         if memo is not None and cand.params in memo:
             return memo[cand.params]
         if cand.model is None:
-            cand.model = self.recalibrate(build_model(*self.describe(cand), self.x0))
+            cand.model = self.build(cand)
         verdict = _check(relation_id, cand.model, self.object_state(cand), self.x0, self.y0, tol)
         if memo is not None:
             memo[cand.params] = verdict.slack, verdict

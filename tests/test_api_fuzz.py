@@ -39,6 +39,7 @@ from murel.search import (
     random_model,
     random_pure_state,
     search_min_slack,
+    state_from_angles,
     substream,
 )
 
@@ -116,6 +117,8 @@ CASES = {
     "substream.index": (st.one_of(NOT_AN_INTEGER, NEGATIVE_INTEGER), lambda v: substream(0, v)),
     "random_pure_state.dim": (MALFORMED_DIM, lambda v: random_pure_state(v, np.random.default_rng(0))),
     "haar_unitary.dim": (MALFORMED_DIM, lambda v: haar_unitary(v, np.random.default_rng(0))),
+    "state_from_angles.dim": (MALFORMED_DIM, lambda v: state_from_angles(v, [])),
+    "state_from_angles.angles": (MALFORMED_REAL, lambda v: state_from_angles(2, [v, 0.0])),
 }
 
 
