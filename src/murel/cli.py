@@ -11,14 +11,15 @@ import argparse
 import functools
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
+from .model import _real
 from .relations import DEFAULT_TOL, RelationId, check
 from .reporting import _table, configuration_row, render_csv, render_json_lines
 from .reporting import spin_reference_rows
-from .scenario import Scenario, ScenarioError, build_configuration, parse_scenario, scenario_to_text
+from .scenario import BuiltConfiguration, Scenario, ScenarioError, _at, _value_map, build_configuration
+from .scenario import build_model, parse_scenario, scenario_to_text
 from .search import CertificationError, Family, SearchSpace, certify, search_min_slack
 
 __all__ = ["main"]
@@ -153,13 +154,21 @@ def cmd_sweep(args) -> int:
             f"unknown parameter {args.param!r} for family {sc.family!r} "
             f"(sweepable: {list(allowed)!r})"
         )
-    grid = _parse_grid(args.grid)
-    rows = []
-    for value in grid:
-        cfg = build_configuration(replace(sc, model_params={**sc.model_params, args.param: value}))
-        rows.append(
-            configuration_row(cfg, section="sweep", param_name=args.param, param_value=value)
-        )
+    path = f"scenario.model.{args.param}"
+    grid = [_at(path, _real, value) for value in _parse_grid(args.grid)]  # as the scenario reader reads it
+    # The scenario was validated when it was read.  The first grid point resolves x0, y0, the
+    # state and the value map; each later point builds only its model, on the same parts.
+    scenarios = [Scenario._trusted(**{**vars(sc), "model_params": {**sc.model_params, args.param: value}})
+                 for value in grid]
+    first = build_configuration(scenarios[0])
+    recalibrate = _value_map(sc.value_map_spec, "scenario.value_map")
+    configs = [first, *(
+        BuiltConfiguration(recalibrate(build_model(sc.family, scenario.model_params, first.x0)),
+                           first.state, first.x0, first.y0, scenario)
+        for scenario in scenarios[1:]
+    )]
+    rows = [configuration_row(cfg, section="sweep", param_name=args.param, param_value=value)
+            for cfg, value in zip(configs, grid)]
     _emit_rows(rows, args.format)
     return EXIT_OK
 

@@ -71,12 +71,28 @@ def max_abs(a) -> float:
     return float(np.maximum.reduce(np.abs(a), axis=None)) if a.size else 0.0
 
 
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of a complex matrix, or of each matrix of a stack, descending.
+
+    The gufunc svd that numpy.linalg.svd(a, compute_uv=False) calls, without
+    its wrapper; the NaNs it returns where LAPACK does not converge raise
+    LinAlgError, as svd does.
+    """
+    with np.errstate(all="ignore"):
+        s = _umath_linalg.svd(a, signature="D->d")
+    if np.isnan(s).any():
+        raise LinAlgError("SVD did not converge")
+    return s
+
+
 def spectral_norm(a) -> float:
-    """Largest singular value."""
+    """Largest singular value of a matrix."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    if a.ndim != 2:
+        raise LinAlgError(f"{a.ndim}-dimensional array given. Array must be two-dimensional")
+    return float(_singular_values(a)[0])
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -176,11 +192,17 @@ class HermitianObservable:
         n = m.shape[0]
         if w.shape != (n,) or v.shape != (n, n):
             raise ValueError("eigendecomposition shape mismatch")
-        if np.any(np.diff(w) < 0):
+        if not np.isfinite(w).all():
+            raise ValueError("eigenvalues must be finite")
+        # each test reads `not x <= bound`, so a nan, such as an overflow leaves, fails it
+        if not (np.diff(w) >= 0).all():
             raise ValueError("eigenvalues must be ascending")
-        if max_abs(v.conj().T @ v - np.eye(n)) > RECON_ATOL:
+        with np.errstate(over="ignore", invalid="ignore"):
+            orthonormal = max_abs(v.conj().T @ v - np.eye(n))
+            recon = max_abs((v * w) @ v.conj().T - m)
+        if not orthonormal <= RECON_ATOL:
             raise ValueError("eigenvectors are not orthonormal")
-        if max_abs((v * w) @ v.conj().T - m) > RECON_ATOL:
+        if not recon <= RECON_ATOL:
             raise ValueError("eigendecomposition does not reconstruct the matrix")
         object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "eigenvalues", _freeze(w))
@@ -225,16 +247,20 @@ def herm_eig(a) -> HermitianObservable:
     decomposition is eigh's own, the gufunc eigh_lo that numpy.linalg.eigh
     calls, without its wrapper, so it is not re-checked; the NaNs the gufunc
     returns where LAPACK does not converge raise LinAlgError, as eigh does.
+    Finite entries whose symmetrization or eigenvalues overflow the float
+    range raise ValueError.
     """
     m = as_complex_matrix(a, name="observable")
-    drift = max_abs(m - m.conj().T)
-    if drift > HERM_ACCEPT_ATOL:
-        raise ValueError(f"matrix is not Hermitian (max |A - A^dag| = {drift!r})")
-    m = (m + m.conj().T) / 2
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # an overflow reads as inf or nan and is rejected below
+        drift = max_abs(m - m.conj().T)
+        if not drift <= HERM_ACCEPT_ATOL:
+            raise ValueError(f"matrix is not Hermitian (max |A - A^dag| = {drift!r})")
+        m = (m + m.conj().T) / 2
         w, v = _umath_linalg.eigh_lo(m, signature="D->dD")
-    if np.isnan(w).any():
-        raise LinAlgError("Eigenvalues did not converge")
+    if not np.isfinite(w).all():
+        if np.isfinite(m).all() and not np.isinf(w).any():
+            raise LinAlgError("Eigenvalues did not converge")
+        raise ValueError("matrix too large: its eigenvalues overflow the float range")
     return HermitianObservable._trusted(m, w, v)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianObservable, MixedState, PureState, _cached, spectral_norm
+from .linalg import HermitianObservable, MixedState, PureState, _cached, _singular_values, spectral_norm
 from .model import (
     ZERO_PROB,
     IndirectModel,
@@ -85,13 +85,14 @@ def stddev(state: PureState | MixedState, observable) -> float:
     return _sqrt_clamped(var, float(np.trace(state.rho @ a @ a).real) + mean * mean)
 
 
-def _bias_operators(model: IndirectModel, x0: HermitianObservable) -> tuple[np.ndarray, np.ndarray]:
-    """Probe-averaged bias operators <xi| f_x0(X_t) - x0 (x) I |xi> and <xi| f_xt(X_t) - x_t |xi>.
+def _bias_operators(model: IndirectModel, x0: HermitianObservable) -> np.ndarray:
+    """Probe-averaged bias operators <xi| f_x0(X_t) - x0 (x) I |xi> and <xi| f_xt(X_t) - x_t |xi>, stacked.
 
     f_x0 and f_xt are the model's two value maps.  With K = U (I (x) xi),
     rows in the object x meter-eigenbasis layout,
     <xi| U^dag (I (x) f(M)) U |xi> = K^dag diag(f) K and
-    <xi| x_t |xi> = K^dag (x0 (x) I) K.
+    <xi| x_t |xi> = K^dag (x0 (x) I) K.  Value maps that share one
+    measurement-values array are averaged once.
     """
     o, p, d = model.object_dim, model.probe_dim, model.dim
     k = (model.unitary.reshape(d, o, p) @ model.probe_state.amplitudes).reshape(o, p, o)
@@ -99,12 +100,10 @@ def _bias_operators(model: IndirectModel, x0: HermitianObservable) -> tuple[np.n
     kh = k.reshape(d, o).conj().T
 
     values_x0, values_xt = model.measurement_values
-
-    def averaged(values):
-        return kh @ (k * values[:, None]).reshape(d, o)
-
+    avg_x0 = kh @ (k * values_x0[:, None]).reshape(d, o)
+    avg_xt = avg_x0 if values_xt is values_x0 else kh @ (k * values_xt[:, None]).reshape(d, o)
     x_avg = kh @ (x0.matrix @ k.reshape(o, p * o)).reshape(d, o)
-    return averaged(values_x0) - x0.matrix, averaged(values_xt) - x_avg
+    return np.array([avg_x0 - x0.matrix, avg_xt - x_avg])
 
 
 @dataclass(frozen=True)
@@ -218,7 +217,7 @@ class Evaluation:
         return float(abs(np.vdot(self._x_t_amps, self._y_t_amps).imag))  # 0.5 |<[x_t, y_t]>|
 
     def report(self) -> MetricsReport:
-        res_x0, res_xt = (spectral_norm(b) for b in _bias_operators(self.model, self.x0))
+        res_x0, res_xt = _singular_values(_bias_operators(self.model, self.x0))[:, 0].tolist()
         return MetricsReport(
             self.eps_x0, self.eps_xt, self.eta_y0, self.sigma_x0, self.sigma_y0, self.sigma_mvo,
             self.delta, self.eps_sys, self.eps_rand, res_x0, res_xt,

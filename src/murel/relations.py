@@ -57,10 +57,14 @@ class RelationVerdict:
 
 
 def _verdict(relation_id: RelationId, lhs: float, rhs: float, tol: float) -> RelationVerdict:
-    """The verdict on lhs >= rhs, its fields set directly, as the _trusted constructors set theirs."""
+    """The verdict on lhs >= rhs, its fields set directly, as the _trusted constructors set theirs.
+
+    The id's string is read from the member's `_value_`: every report row makes nine verdicts, and
+    the Enum.value descriptor costs a Python call each.
+    """
     lhs, rhs = float(lhs), float(rhs)
     verdict = object.__new__(RelationVerdict)
-    vars(verdict).update(relation_id=relation_id.value, lhs=lhs, rhs=rhs, slack=lhs - rhs,
+    vars(verdict).update(relation_id=relation_id._value_, lhs=lhs, rhs=rhs, slack=lhs - rhs,
                          holds=lhs - rhs >= -tol, tol=tol)
     return verdict
 
@@ -73,7 +77,7 @@ def _worst_readout(ev: Evaluation, readout_floor: float) -> tuple[float, float]:
     return eps, sigma
 
 
-# (lhs, rhs) of every relation, read from one evaluation.
+# (lhs, rhs) of every relation, read from one evaluation, in declaration order.
 _SIDES = {
     RelationId.HEISENBERG_E1: lambda e, _: (e.eps_x0 * e.eta_y0, e.object_bound),
     RelationId.OZAWA_E2: lambda e, _: (
@@ -133,7 +137,7 @@ def _check(
 def verdicts(ev: Evaluation, *, tol: float = DEFAULT_TOL) -> list[RelationVerdict]:
     """All relations of one evaluated configuration, in declaration order."""
     tol = _tolerance(tol)
-    return [_verdict(rid, *_SIDES[rid](ev, READOUT_FLOOR), tol) for rid in RelationId]
+    return [_verdict(rid, *sides(ev, READOUT_FLOOR), tol) for rid, sides in _SIDES.items()]
 
 
 def check_all(

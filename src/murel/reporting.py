@@ -50,6 +50,9 @@ _METRIC_COLUMNS = [
     "variance_identity_residual",
 ]
 
+# the lhs, rhs, slack and holds cells of every relation, in declaration order
+_VERDICT_COLUMNS = [f"{rid.value}_{part}" for rid in RelationId for part in ("lhs", "rhs", "slack", "holds")]
+
 COLUMNS = [
     "scenario_id",
     "section",
@@ -62,7 +65,7 @@ COLUMNS = [
     "p_minus",
     "outcomes",
     *_METRIC_COLUMNS,
-    *[f"{rid.value}_{part}" for rid in RelationId for part in ("lhs", "rhs", "slack", "holds")],
+    *_VERDICT_COLUMNS,
 ]
 
 
@@ -89,7 +92,7 @@ def configuration_row(
     report = ev.report()
     pairs = ev.outcome_probabilities()
 
-    row: dict[str, Any] = {k: None for k in COLUMNS}
+    row: dict[str, Any] = dict.fromkeys(COLUMNS)
     sc = cfg.scenario
     row["scenario_id"] = sc.scenario_id or ""
     row["section"] = section
@@ -110,11 +113,9 @@ def configuration_row(
     row["variance_identity_residual"] = (
         report.sigma_mvo**2 - report.sigma_x0**2 - report.eps_x0**2
     )
-    for v in verdicts(ev, tol=cfg.tolerance):
-        row[f"{v.relation_id}_lhs"] = v.lhs
-        row[f"{v.relation_id}_rhs"] = v.rhs
-        row[f"{v.relation_id}_slack"] = v.slack
-        row[f"{v.relation_id}_holds"] = v.holds
+    row.update(zip(_VERDICT_COLUMNS, [
+        cell for v in verdicts(ev, tol=cfg.tolerance) for cell in (v.lhs, v.rhs, v.slack, v.holds)
+    ]))
     if extras:
         unknown = sorted(set(extras) - set(COLUMNS))
         if unknown:
@@ -145,17 +146,37 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
+_json_line = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(..., separators=(",", ":"))
+
+
 def _table(rows: list[dict[str, Any]], columns: list[str], fmt: str) -> str:
-    """Rows under a column list: CSV with a header line, or ("json") one JSON object per line."""
+    """Rows under a column list: CSV with a header line, or ("json") one JSON object per line.
+
+    Each row is read once.  A cell that is an exact float, str, bool or None
+    is written inline, as _json_value and _cell would write it (x - x == 0
+    tells a finite float); any other cell goes through them.
+    """
     if fmt == "json":
         return "".join(
-            json.dumps({k: _json_value(row.get(k)) for k in columns}, separators=(",", ":")) + "\n"
+            _json_line(dict(zip(columns, [
+                v if ((t := type(v)) is float and v - v == 0.0) or t is str or t is bool or v is None
+                else _json_value(v)
+                for v in map(row.get, columns)
+            ]))) + "\n"
             for row in rows
         )
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")  # writes a float as its repr and None as ""
     writer.writerow(columns)
-    writer.writerows([_cell(row.get(k)) for k in columns] for row in rows)
+    writer.writerows(
+        [
+            v if (t := type(v)) is float or t is str or v is None
+            else ("true" if v else "false") if t is bool
+            else _cell(v)
+            for v in map(row.get, columns)
+        ]
+        for row in rows
+    )
     return out.getvalue()
 
 
@@ -204,19 +225,22 @@ def spin_reference_rows() -> list[dict[str, Any]]:
     while breaking the spread-based ones).
     """
     rows: list[dict[str, Any]] = []
+    computed: dict[tuple[float, str, str], dict[str, Any]] = {}  # (phi, state, value map) -> its row
     for section, phi, state, scenario_id, value_map in _SPIN_ROWS:
-        cfg = build_configuration(Scenario._trusted(  # literal fields, valid by construction
-            family="sigma_phi",
-            model_params={"phi_degrees": phi},
-            state_spec=state,
-            x0_spec="sigma_x",
-            y0_spec="sigma_y",
-            value_map_spec=value_map,
-            scenario_id=scenario_id,
-        ))
+        key = (phi, state, value_map)
+        if key not in computed:  # each distinct configuration is evaluated once
+            computed[key] = configuration_row(build_configuration(Scenario._trusted(
+                family="sigma_phi",  # literal fields, valid by construction
+                model_params={"phi_degrees": phi},
+                state_spec=state,
+                x0_spec="sigma_x",
+                y0_spec="sigma_y",
+                value_map_spec=value_map,
+                scenario_id=scenario_id,
+            )))
         swept = section == "calibration_residuals"
-        row = configuration_row(cfg, section=section, param_name="phi_degrees" if swept else "",
-                                param_value=phi if swept else None)
+        row = {**computed[key], "scenario_id": scenario_id, "section": section,
+               "param_name": "phi_degrees" if swept else "", "param_value": phi if swept else None}
         if section == "eigenstate_error_laws":
             half_angle = abs(math.sin(math.radians(phi) / 2.0))
             decomposed = row["eps_rand"]

@@ -51,6 +51,7 @@ the whole candidate stream; results record the generator name.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -59,7 +60,7 @@ from enum import Enum
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .linalg import PureState
+from .linalg import PureState, _freeze
 from .model import IndirectModel, _graded_meter, _integer, _pointer_window, _real
 from .relations import DEFAULT_TOL, RelationId, RelationVerdict, _check, _tolerance, check
 from .scenario import (
@@ -247,16 +248,24 @@ class _Candidate:
     children: dict = field(default_factory=dict)
 
 
-def _default_pair(family: Family, dim: int) -> tuple:
+@functools.lru_cache(maxsize=32)
+def _default_pair(family: Family, dim: int) -> tuple[tuple, tuple]:
+    """The default x0 and y0 of a family and object dim, each a (spec, observable) pair.
+
+    Resolved once per family and dimension, as _graded_meter is; searches
+    share the returned specs and observables, which are immutable.
+    """
     if family is Family.SHIFT:
-        return "sigma_z", "sigma_y"
-    if dim == 2:
-        return "sigma_x", "sigma_y"
-    step = np.zeros((dim, dim))
-    for k in range(dim):
-        step[(k + 1) % dim, k] = 1.0
-    grade = np.diag(np.arange(dim, dtype=float) - (dim - 1) / 2.0)
-    return grade, (step + step.T) / 2.0
+        specs = "sigma_z", "sigma_y"
+    elif dim == 2:
+        specs = "sigma_x", "sigma_y"
+    else:
+        step = np.zeros((dim, dim))
+        for k in range(dim):
+            step[(k + 1) % dim, k] = 1.0
+        grade = np.diag(np.arange(dim, dtype=float) - (dim - 1) / 2.0)
+        specs = _freeze(grade), _freeze((step + step.T) / 2.0)
+    return tuple((spec, _resolve_observable(spec, "SearchSpace")) for spec in specs)
 
 
 class _SpaceImpl:
@@ -276,11 +285,11 @@ class _SpaceImpl:
                              f"got {self.object_dim} and {self.probe_dim}")
         if self.family is Family.RANDOM_UNITARY:
             _check_random_dims(self.object_dim, self.probe_dim)
-        dx, dy = _default_pair(self.family, self.object_dim)
-        self.x0_spec = dx if space.x0_spec is None else space.x0_spec
-        self.y0_spec = dy if space.y0_spec is None else space.y0_spec
-        self.x0 = _resolve_observable(self.x0_spec, "SearchSpace.x0_spec")
-        self.y0 = _resolve_observable(self.y0_spec, "SearchSpace.y0_spec")
+        default_x0, default_y0 = _default_pair(self.family, self.object_dim)
+        self.x0_spec, self.x0 = default_x0 if space.x0_spec is None else (
+            space.x0_spec, _resolve_observable(space.x0_spec, "SearchSpace.x0_spec"))
+        self.y0_spec, self.y0 = default_y0 if space.y0_spec is None else (
+            space.y0_spec, _resolve_observable(space.y0_spec, "SearchSpace.y0_spec"))
         for name, obs in (("x0", self.x0), ("y0", self.y0)):
             if obs.dim != self.object_dim:
                 raise ValueError(f"SearchSpace.{name}_spec: observable dim {obs.dim} != object_dim {self.object_dim}")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,24 @@ class TestEigendecomposition:
         obs = herm_eig(random_hermitian(3, rng))
         with pytest.raises(ValueError, match="ascending"):
             HermitianObservable(obs.matrix, obs.eigenvalues[::-1], obs.eigenvectors[:, ::-1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_observable_rejects_non_finite_eigenvalues(self, bad):
+        with pytest.raises(ValueError, match="^eigenvalues must be finite$"):
+            HermitianObservable(np.diag([0.0, 1.0]), [bad, 1.0], np.eye(2))
+
+    @pytest.mark.parametrize("a,message", [
+        ([[0.0, 1e308], [1e308, 0.0]], "overflow"),
+        ([[1e308, 0.0], [0.0, -1e308]], "overflow"),
+        ([[8e307, 8e307 + 8e307j], [8e307 - 8e307j, 8e307]], "overflow"),  # only the eigenvalue overflows
+        ([[0.0, 1e308], [-1e308, 0.0]], "not Hermitian"),  # |A - A^dag| overflows
+    ], ids=["symmetrized-offdiagonal", "symmetrized-diagonal", "eigenvalue", "drift"])
+    def test_herm_eig_rejects_an_overflow_with_one_value_error_and_no_warning(self, a, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message) as info:
+                herm_eig(a)
+        assert type(info.value) is ValueError and "\n" not in str(info.value)
 
 
 class TestSpectralFunctions:

@@ -14,6 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import murel.scenario
 import murel.search
 from murel.linalg import PureState, herm_eig
 from murel.model import build_shift_model, rescale_mvo
@@ -182,3 +183,18 @@ def test_graded_meter_is_shared_per_probe_dim():
     assert random_model(2, 4, rng).meter is shift.meter
     assert random_model(2, 2, rng).meter is not shift.meter
     np.testing.assert_array_equal(shift.meter.eigenvalues, [0.0, 1.0, 2.0, 3.0])
+
+
+def test_default_observables_are_resolved_once_per_dimension(monkeypatch):
+    space, relation = CASES["random_unitary_4x4-OZAWA_E2"]
+    first = search_min_slack(relation, space, 20, 0)
+    calls = []
+    resolve = murel.scenario.herm_eig
+    monkeypatch.setattr(murel.scenario, "herm_eig", lambda a: calls.append(a) or resolve(a))
+    impl = _SpaceImpl(space)
+    assert calls == []
+    x0, y0 = impl.x0_spec, impl.y0_spec
+    assert not x0.flags.writeable and not y0.flags.writeable
+    np.testing.assert_array_equal(impl.x0.matrix, np.diag([-1.5, -0.5, 0.5, 1.5]))
+    second = search_min_slack(relation, space, 20, 0)
+    assert _digest(second) == _digest(first)
