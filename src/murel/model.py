@@ -237,12 +237,27 @@ class EvolvedOperators:
     mvo_xt: np.ndarray
 
 
-def _check_fit(model: IndirectModel, state: PureState | None, x0=None, y0=None) -> None:
-    """Reject an object state, or an x0/y0 pair, that does not act on the model's object."""
-    if state is not None and state.dim != model.object_dim:
-        raise ValueError(f"object state dim {state.dim} != model object dim {model.object_dim}")
-    if x0 is not None and (x0.dim != model.object_dim or y0.dim != model.object_dim):
-        raise ValueError("observable dims do not match the model object dim")
+_ABSENT = object()  # an argument _check_fit is not given
+
+
+def _check_fit(model: IndirectModel, state=_ABSENT, x0=_ABSENT, y0=_ABSENT) -> None:
+    """Reject an object state, or an x0/y0 pair, that does not act on the model's object.
+
+    An argument without the attributes read here is of the wrong type: a
+    TypeError names it.
+    """
+    try:
+        object_dim = model.object_dim
+        if state is not _ABSENT and state.amplitudes.size != object_dim:
+            raise ValueError(f"object state dim {state.dim} != model object dim {object_dim}")
+        if x0 is not _ABSENT and (x0.matrix.shape[0] != object_dim or y0.matrix.shape[0] != object_dim):
+            raise ValueError("observable dims do not match the model object dim")
+    except AttributeError:
+        for name, value, kind in (("model", model, IndirectModel), ("state", state, PureState),
+                                  ("x0", x0, HermitianObservable), ("y0", y0, HermitianObservable)):
+            if value is not _ABSENT and not isinstance(value, kind):
+                raise TypeError(f"{name}: expected {kind.__name__}, got {_brief(value)}") from None
+        raise
 
 
 def composite_input(model: IndirectModel, state: PureState) -> np.ndarray:
@@ -259,7 +274,7 @@ def evolve(model: IndirectModel, x0: HermitianObservable, y0: HermitianObservabl
     and f(X_t) = U^dag (I (x) f(M)) U = W^dag diag(f(m_k)) W weights W's rows;
     no joint-space operator is built as a Kronecker product or eigendecomposed.
     """
-    _check_fit(model, None, x0, y0)
+    _check_fit(model, x0=x0, y0=y0)
     o, p, d = model.object_dim, model.probe_dim, model.dim
     w = model.meter.eigenvectors.conj().T @ model.unitary.reshape(o, p, d)
     wh = w.reshape(d, d).conj().T

@@ -7,6 +7,7 @@ so each commutator bound is 0.5 * |<[A, B]>|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,12 +61,16 @@ def _verdict(relation_id: RelationId, lhs: float, rhs: float, tol: float) -> Rel
     """The verdict on lhs >= rhs, its fields set directly, as the _trusted constructors set theirs.
 
     The id's string is read from the member's `_value_`: every report row makes nine verdicts, and
-    the Enum.value descriptor costs a Python call each.
+    the Enum.value descriptor costs a Python call each.  A slack that is not finite, from an
+    overflowed side, has no verdict: it raises ValueError.
     """
     lhs, rhs = float(lhs), float(rhs)
+    slack = lhs - rhs
+    if not math.isfinite(slack):
+        raise ValueError(f"{relation_id._value_}: non-finite slack {slack!r} (lhs {lhs!r}, rhs {rhs!r})")
     verdict = object.__new__(RelationVerdict)
-    vars(verdict).update(relation_id=relation_id._value_, lhs=lhs, rhs=rhs, slack=lhs - rhs,
-                         holds=lhs - rhs >= -tol, tol=tol)
+    vars(verdict).update(relation_id=relation_id._value_, lhs=lhs, rhs=rhs, slack=slack,
+                         holds=slack >= -tol, tol=tol)
     return verdict
 
 
@@ -114,7 +119,8 @@ def check(
     readout; use metrics.conditional_pairs for the full per-readout listing.
     `evolved` is accepted for compatibility and ignored: every side is read
     from the evolved state, not from Heisenberg operators.  tol must pass
-    the tolerance rule: a finite number greater than 0.
+    the tolerance rule: a finite number greater than 0.  A slack that is
+    not finite raises ValueError naming the relation.
     """
     return _check(relation_id, model, state, x0, y0, _tolerance(tol), readout_floor)
 

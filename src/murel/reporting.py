@@ -136,14 +136,18 @@ def _json_value(value: Any) -> Any:
     return value if math.isfinite(value) else repr(value)
 
 
-def _cell(value: Any) -> str:
-    """A CSV cell: the JSON value, with null empty and booleans lower-case."""
+def _cell(value: Any) -> Any:
+    """A CSV cell: the JSON value, with null empty and booleans lower-case.
+
+    An int, a finite float or a str is returned as it is: csv.writer writes
+    a number by str(), and a float's str() is its repr.
+    """
     value = _json_value(value)
     if value is None:
         return ""
     if value is True or value is False:
         return "true" if value else "false"
-    return str(value)
+    return value
 
 
 _json_line = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(..., separators=(",", ":"))
@@ -152,31 +156,17 @@ _json_line = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(..., s
 def _table(rows: list[dict[str, Any]], columns: list[str], fmt: str) -> str:
     """Rows under a column list: CSV with a header line, or ("json") one JSON object per line.
 
-    Each row is read once.  A cell that is an exact float, str, bool or None
-    is written inline, as _json_value and _cell would write it (x - x == 0
-    tells a finite float); any other cell goes through them.
+    Every cell goes through one rule per format: _json_value for JSON lines, _cell for CSV.
     """
     if fmt == "json":
         return "".join(
-            _json_line(dict(zip(columns, [
-                v if ((t := type(v)) is float and v - v == 0.0) or t is str or t is bool or v is None
-                else _json_value(v)
-                for v in map(row.get, columns)
-            ]))) + "\n"
+            _json_line(dict(zip(columns, map(_json_value, map(row.get, columns))))) + "\n"
             for row in rows
         )
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")  # writes a float as its repr and None as ""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows(
-        [
-            v if (t := type(v)) is float or t is str or v is None
-            else ("true" if v else "false") if t is bool
-            else _cell(v)
-            for v in map(row.get, columns)
-        ]
-        for row in rows
-    )
+    writer.writerows(map(_cell, map(row.get, columns)) for row in rows)
     return out.getvalue()
 
 

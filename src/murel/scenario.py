@@ -263,8 +263,9 @@ def _value_map(spec: Any, path: str) -> Callable[[IndirectModel], IndirectModel]
         elif head == "center_on_meter_mean":
             mean = float(expectation(model.probe_state, model.meter.matrix).real)
             model = rescale_mvo(model, lambda v: v - mean)
-        values = _at(path, lambda: model.measurement_values)
-        _bounded(np.concatenate(values), "measurement value", path)
+        values_x0, values_xt = _at(path, lambda: model.measurement_values)
+        _bounded(values_x0 if values_xt is values_x0 else np.concatenate((values_x0, values_xt)),
+                 "measurement value", path)
         return model
 
     return recalibrate
@@ -336,11 +337,10 @@ class Scenario:
 
         For fields valid by construction, and for documents written as given.
         """
-        defaults = {f.name: f.default for f in fields(cls)}
-        if not values.keys() <= defaults.keys():
-            raise TypeError(f"unknown Scenario fields {sorted(values.keys() - defaults.keys())}")
+        if not values.keys() <= _FIELD_NAMES:
+            raise TypeError(f"unknown Scenario fields {sorted(values.keys() - _FIELD_NAMES)}")
         sc = object.__new__(cls)
-        vars(sc).update({k: v for k, v in defaults.items() if v is not MISSING}, **values)
+        vars(sc).update(_FIELD_DEFAULTS, **values)
         return sc
 
     @property
@@ -362,6 +362,11 @@ class Scenario:
         doc["tolerance"] = float(self.tolerance)
         doc["seed"] = int(self.seed)
         return doc
+
+
+# Scenario's field names, and the defaults of the fields that have one; read by Scenario._trusted
+_FIELD_NAMES = frozenset(f.name for f in fields(Scenario))
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(Scenario) if f.default is not MISSING}
 
 
 @dataclass(frozen=True, eq=False)
