@@ -234,9 +234,13 @@ class Evaluation:
         """(eps_cond, sigma_cond) in the conditional object state coeffs coeffs^dag / prob, prob > ZERO_PROB."""
         assigned = float(self.model.value_map_xt(float(readout)))
         x_coeffs = self.x0.matrix @ coeffs
-        mean = np.vdot(coeffs, x_coeffs).real / prob
+        mean = float(np.vdot(coeffs, x_coeffs).real) / prob
         sigma = _norm(x_coeffs - mean * coeffs) / math.sqrt(prob)
-        return math.sqrt(sigma * sigma + (mean - assigned) ** 2), sigma
+        try:
+            bias_sq = (mean - assigned) ** 2  # libm pow, as numpy's float64 power calls it: the same bits
+        except OverflowError:  # the error is inf, which the verdict rejects as non-finite
+            bias_sq = math.inf
+        return math.sqrt(sigma * sigma + bias_sq), sigma
 
     def conditional_resolution(self, readout: float) -> tuple[float, float]:
         return self._conditional(readout, *_matched_readout(self.readouts, readout))

@@ -33,7 +33,6 @@ from .linalg import (
     expectation,
     herm_eig,
     max_abs,
-    tensor,
 )
 
 __all__ = [
@@ -67,6 +66,9 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
+# The probe factors of build_sigma_phi's two terms, P+ (x) I and P- (x) X, laid out to broadcast
+# against its stacked projectors as tensor lays out a Kronecker product.
+_SIGMA_PHI_PROBE_FACTORS = np.array([ID2, PAULI_X])[:, None, :, None, :]
 
 # Named qubit observables and states, built once; the objects are immutable.
 NAMED_OBSERVABLES = {
@@ -226,15 +228,57 @@ class IndirectModel:
         return values_x0, _freeze(_mapped_spectrum(self.value_map_xt, self.meter.eigenvalues))
 
 
-@dataclass(frozen=True, eq=False)
 class EvolvedOperators:
-    """Heisenberg-picture operators of one model/observable-pair combination."""
+    """Heisenberg-picture operators of one model/observable-pair combination, in the meter frame.
 
-    x_t: np.ndarray
-    X_t: np.ndarray
-    y_t: np.ndarray
-    mvo_x0: np.ndarray
-    mvo_xt: np.ndarray
+    W = (I (x) V^dag) U, for V the meter eigenvectors.  I (x) V commutes with
+    A (x) I, so x_t = W^dag (x0 (x) I) W with x0 acting on W's object index,
+    and f(X_t) = U^dag (I (x) f(M)) U = W^dag diag(f(m_k)) W weights W's rows;
+    no joint-space operator is built as a Kronecker product or eigendecomposed.
+    Each of x_t, X_t, y_t, mvo_x0 and mvo_xt is computed on first read.
+    """
+
+    def __init__(self, model: IndirectModel, x0: HermitianObservable, y0: HermitianObservable):
+        self._model, self._x0, self._y0 = model, x0, y0
+
+    @_cached
+    def _w(self) -> np.ndarray:
+        """W, with its row index split as (object, meter eigenvector)."""
+        m = self._model
+        return m.meter.eigenvectors.conj().T @ m.unitary.reshape(m.object_dim, m.probe_dim, m.dim)
+
+    @_cached
+    def _wh(self) -> np.ndarray:
+        d = self._model.dim
+        return self._w.reshape(d, d).conj().T
+
+    def _conjugated(self, a: HermitianObservable) -> np.ndarray:
+        o, p, d = self._w.shape
+        return self._wh @ (a.matrix @ self._w.reshape(o, p * d)).reshape(d, d)
+
+    def _weighted(self, values: np.ndarray) -> np.ndarray:
+        d = self._model.dim
+        return self._wh @ (self._w * values[:, None]).reshape(d, d)
+
+    @_cached
+    def x_t(self) -> np.ndarray:
+        return self._conjugated(self._x0)
+
+    @_cached
+    def y_t(self) -> np.ndarray:
+        return self._conjugated(self._y0)
+
+    @_cached
+    def X_t(self) -> np.ndarray:
+        return self._weighted(self._model.meter.eigenvalues)
+
+    @_cached
+    def mvo_x0(self) -> np.ndarray:
+        return self._weighted(self._model.measurement_values[0])
+
+    @_cached
+    def mvo_xt(self) -> np.ndarray:
+        return self._weighted(self._model.measurement_values[1])
 
 
 _ABSENT = object()  # an argument _check_fit is not given
@@ -267,21 +311,15 @@ def composite_input(model: IndirectModel, state: PureState) -> np.ndarray:
 
 
 def evolve(model: IndirectModel, x0: HermitianObservable, y0: HermitianObservable) -> EvolvedOperators:
-    """Conjugate the relevant operators by the interaction unitary, in the meter frame.
+    """The operators conjugated by the interaction unitary, each computed on first read.
 
-    W = (I (x) V^dag) U, for V the meter eigenvectors.  I (x) V commutes with
-    A (x) I, so x_t = W^dag (x0 (x) I) W with x0 acting on W's object index,
-    and f(X_t) = U^dag (I (x) f(M)) U = W^dag diag(f(m_k)) W weights W's rows;
-    no joint-space operator is built as a Kronecker product or eigendecomposed.
+    The arguments and the measurement values are checked here: a misfit
+    raises at the call, as does a value map that is not finite on the meter
+    spectrum.
     """
     _check_fit(model, x0=x0, y0=y0)
-    o, p, d = model.object_dim, model.probe_dim, model.dim
-    w = model.meter.eigenvectors.conj().T @ model.unitary.reshape(o, p, d)
-    wh = w.reshape(d, d).conj().T
-    x_t, y_t = (wh @ (a.matrix @ w.reshape(o, p * d)).reshape(d, d) for a in (x0, y0))
-    weights = (model.meter.eigenvalues, *model.measurement_values)
-    X_t, mvo_x0, mvo_xt = (wh @ (w * values[:, None]).reshape(d, d) for values in weights)
-    return EvolvedOperators(x_t, X_t, y_t, mvo_x0, mvo_xt)
+    model.measurement_values  # computed once per model; read here so a bad value map raises now
+    return EvolvedOperators(model, x0, y0)
 
 
 def build_sigma_phi(phi: float) -> IndirectModel:
@@ -295,9 +333,10 @@ def build_sigma_phi(phi: float) -> IndirectModel:
     (_real): anything but a finite real raises ValueError.
     """
     sp = sigma_phi_matrix(_real(phi))
-    p_plus = (ID2 + sp) / 2
-    p_minus = (ID2 - sp) / 2
-    u = tensor(p_plus, ID2) + tensor(p_minus, PAULI_X)
+    projectors = np.array([ID2 + sp, ID2 - sp]) / 2  # P+ and P-
+    # tensor(P+, I) + tensor(P-, X): the same elementwise products, formed in one broadcast
+    terms = (projectors[:, :, None, :, None] * _SIGMA_PHI_PROBE_FACTORS).reshape(2, 4, 4)
+    u = terms[0] + terms[1]
     return IndirectModel._trusted(2, 2, u, NAMED_QUBIT_STATES["+z"], NAMED_OBSERVABLES["sigma_z"])
 
 
@@ -313,7 +352,9 @@ def _graded_meter(probe_dim: int) -> HermitianObservable:
 def _meter_observable(matrix: np.ndarray) -> HermitianObservable:
     """The shared _graded_meter for a meter matrix equal to diag(0..p-1), herm_eig of any other."""
     graded = _graded_meter(len(matrix))
-    return graded if np.array_equal(matrix, graded.matrix) else herm_eig(matrix)
+    if matrix is graded.matrix or np.array_equal(matrix, graded.matrix):
+        return graded
+    return herm_eig(matrix)
 
 
 def _pointer_window(x0: HermitianObservable, probe_dim: int) -> tuple[int, int]:

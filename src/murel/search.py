@@ -124,11 +124,17 @@ def _positive_dim(dim: int) -> int:
     return dim
 
 
+def _normalized(z: np.ndarray) -> PureState:
+    """The complex vector z divided by its norm, by np.linalg.norm's formula without its wrapper."""
+    re, im = z.real, z.imag
+    return PureState._trusted(z / math.sqrt(re.dot(re) + im.dot(im)))
+
+
 def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
     """Haar-distributed pure state: normalized i.i.d. complex Gaussian vector."""
     dim = _positive_dim(dim)
-    z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return PureState._trusted(z / np.linalg.norm(z))
+    g = rng.normal(size=(2, dim))  # the doubles of two size-dim draws, in their order
+    return _normalized(g[0] + 1j * g[1])
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -140,7 +146,8 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     np.linalg.qr raises it.
     """
     dim = _positive_dim(dim)
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2.0)
+    g = rng.normal(size=(2, dim, dim))  # the doubles of two (dim, dim) draws, in their order
+    z = (g[0] + 1j * g[1]) / np.sqrt(2.0)
     with np.errstate(all="ignore"):
         tau = _umath_linalg.qr_r_raw(z, signature="D->D")
         q = _umath_linalg.qr_reduced(z, tau, signature="DD->D")
@@ -200,9 +207,7 @@ def _state_from_angles(dim: int, angles) -> PureState:
     for i, al in enumerate(angles[dim - 1 :], start=1):
         # the full complex product, as numpy's complex multiply forms it, signed zeros included
         amps[i] = complex(amps[i]) * complex(math.cos(al), math.sin(al))
-    amps = np.array(amps, dtype=complex)
-    re, im = amps.real, amps.imag
-    return PureState._trusted(amps / math.sqrt(re.dot(re) + im.dot(im)))  # np.linalg.norm's formula
+    return _normalized(np.array(amps, dtype=complex))
 
 
 def _state_bounds(dim: int) -> list[tuple[float, float, bool]]:
@@ -268,6 +273,17 @@ def _default_pair(family: Family, dim: int) -> tuple[tuple, tuple]:
     return tuple((spec, _resolve_observable(spec, "SearchSpace")) for spec in specs)
 
 
+@functools.lru_cache(maxsize=32)
+def _step_sizes(widest: float) -> int:
+    """How many refine step sizes, widest halved h = 0, 1, ... times, are at least MIN_STEP.
+
+    Counted once per distinct width, as _default_pair resolves once per
+    dimension: a search's widest width is a quarter of one of a few bound
+    ranges.
+    """
+    return next(h for h in itertools.count() if math.ldexp(widest, -h) < MIN_STEP)
+
+
 class _SpaceImpl:
     """Family-specific parameterization behind the generic optimizer."""
 
@@ -312,13 +328,14 @@ class _SpaceImpl:
         self.bounds = model_b + _state_bounds(self.object_dim)
         self.nparams = len(self.bounds)
         self.lows = np.array([lo for lo, _, _ in self.bounds])
-        self.highs = np.array([hi for _, hi, _ in self.bounds])
+        self.spans = np.array([hi for _, hi, _ in self.bounds]) - self.lows
         # The model cache: recalibrated models in build order, at most MODEL_CACHE_SIZE; a family
         # without model coordinates (random_unitary, fixed-probe shift) keeps none.
         self.models: dict | None = {} if self.n_model_params else None
 
     def random(self, rng: np.random.Generator) -> _Candidate:
-        params = tuple(rng.uniform(self.lows, self.highs).tolist())
+        # Generator.uniform(lows, highs)'s own formula, low + (high - low) * next_double: its bits
+        params = tuple((self.lows + self.spans * rng.random(self.nparams)).tolist())
         if self.family is Family.RANDOM_UNITARY:
             u, probe = _random_interaction(self.object_dim, self.probe_dim, rng)
             return _Candidate(params, (u, probe.amplitudes))
@@ -461,11 +478,10 @@ def search_min_slack(
     best_verdict: RelationVerdict | None = None
     # Refine step k, counted from the last improvement, moves coordinate k % n by widths[k % n]
     # halved k // (2n) times (a power of two divides exactly).  Refinement ends after 2n steps at
-    # each of the n_sizes step sizes whose widest step is still at least MIN_STEP.
+    # each of the step sizes whose widest step is still at least MIN_STEP.
     n = impl.nparams
     widths = [(hi - lo) / 4.0 for lo, hi, _ in impl.bounds]
-    n_sizes = next(h for h in itertools.count() if math.ldexp(max(widths, default=0.0), -h) < MIN_STEP)
-    k_limit = 2 * n * n_sizes
+    k_limit = 2 * n * _step_sizes(max(widths, default=0.0))
     k = 0
 
     for t in range(budget):
