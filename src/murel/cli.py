@@ -14,11 +14,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .model import _real
 from .relations import DEFAULT_TOL, RelationId, check
 from .reporting import _table, configuration_row, render_csv, render_json_lines
 from .reporting import spin_reference_rows
-from .scenario import BuiltConfiguration, Scenario, ScenarioError, _at, _value_map, build_configuration
+from .scenario import BuiltConfiguration, Scenario, ScenarioError, _model_fields, _value_map, build_configuration
 from .scenario import build_model, parse_scenario, scenario_to_text
 from .search import CertificationError, Family, SearchSpace, certify, search_min_slack
 
@@ -154,8 +153,8 @@ def cmd_sweep(args) -> int:
             f"unknown parameter {args.param!r} for family {sc.family!r} "
             f"(sweepable: {list(allowed)!r})"
         )
-    path = f"scenario.model.{args.param}"
-    grid = [_at(path, _real, value) for value in _parse_grid(args.grid)]  # as the scenario reader reads it
+    read = _model_fields(sc.family)[args.param][0]  # the reader Scenario uses for this field
+    grid = [read(value, f"scenario.model.{args.param}") for value in _parse_grid(args.grid)]
     # The scenario was validated when it was read.  The first grid point resolves x0, y0, the
     # state and the value map; each later point builds only its model, on the same parts.
     scenarios = [Scenario._trusted(**{**vars(sc), "model_params": {**sc.model_params, args.param: value}})

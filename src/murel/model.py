@@ -126,6 +126,14 @@ def _integer(obj: object) -> int:
     raise ValueError(f"expected an integer, got {_brief(obj)}")
 
 
+def _positive(obj: object, name: str) -> int:
+    """A count read by the integer rule, at least 1; anything else raises ValueError naming it."""
+    n = _integer(obj)
+    if n < 1:
+        raise ValueError(f"{name} must be positive")
+    return n
+
+
 def pauli_observable(name: str) -> HermitianObservable:
     try:
         return NAMED_OBSERVABLES[name]
@@ -389,7 +397,7 @@ def build_shift_model(
     spectrum.  The interaction permutes pointer levels on each eigenspace of
     x0, so it is unitary as far as x0's eigenvectors are orthonormal.
     """
-    probe_dim = _integer(probe_dim)
+    probe_dim = _positive(probe_dim, "probe_dim")
     if probe_state.dim != probe_dim:
         raise ValueError("probe state dim does not match probe_dim")
     (lo, hi), u = _shift_interaction(x0, probe_dim)

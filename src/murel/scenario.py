@@ -55,6 +55,7 @@ from .model import (
     _brief,
     _integer,
     _meter_observable,
+    _positive,
     _real,
     _require_unitary,
     build_shift_model,
@@ -90,19 +91,20 @@ VALUE_BOUND = 1e150
 
 
 class ScenarioError(ValueError):
-    """Scenario document rejected; .path names the offending field."""
+    """Scenario document rejected; .path names the offending field and .message says what is wrong."""
 
     def __init__(self, message: str, path: str = ""):
+        self.message = message
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
 
 
 def _at(path: str, fn: Callable, *args):
-    """fn(*args); a ValueError it raises becomes a ScenarioError at path."""
+    """fn(*args); a ValueError it raises becomes a ScenarioError at path, a ScenarioError's own path replaced."""
     try:
         return fn(*args)
     except ValueError as e:
-        raise ScenarioError(str(e), path) from None
+        raise ScenarioError(e.message if isinstance(e, ScenarioError) else str(e), path) from None
 
 
 def _require_dict(obj: Any, path: str) -> dict:
@@ -121,10 +123,7 @@ def _check_keys(obj: dict, path: str, required: set[str], optional: set[str] = f
 
 
 def _positive_integer(obj: Any, path: str) -> int:
-    n = _at(path, _integer, obj)
-    if n < 1:
-        raise ScenarioError(f"{path.rpartition('.')[2]} must be positive", path)
-    return n
+    return _at(path, _positive, obj, path.rpartition(".")[2])
 
 
 def _complex_pair(obj: Any, path: str) -> complex:
@@ -447,7 +446,7 @@ def parse_scenario(text: str) -> Scenario:
 
 def _resolve_observable(spec: str | np.ndarray, path: str) -> HermitianObservable:
     if isinstance(spec, str):
-        return pauli_observable(spec)
+        return _at(path, pauli_observable, spec)
     obs = _at(path, herm_eig, spec)
     _bounded(obs.eigenvalues, "spectral norm", path)
     return obs

@@ -61,11 +61,12 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .linalg import PureState, _freeze
-from .model import IndirectModel, _graded_meter, _integer, _pointer_window, _real
+from .model import IndirectModel, _graded_meter, _integer, _pointer_window, _positive, _real
 from .relations import DEFAULT_TOL, RelationId, RelationVerdict, _check, _tolerance, check
 from .scenario import (
     ScenarioError,
     _at,
+    _positive_integer,
     _resolve_observable,
     _value_map,
     build_configuration,
@@ -116,14 +117,6 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _positive_dim(dim: int) -> int:
-    """A dimension read by the integer rule, at least 1."""
-    dim = _integer(dim)
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    return dim
-
-
 def _normalized(z: np.ndarray) -> PureState:
     """The complex vector z divided by its norm, by np.linalg.norm's formula without its wrapper."""
     re, im = z.real, z.imag
@@ -132,7 +125,7 @@ def _normalized(z: np.ndarray) -> PureState:
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
     """Haar-distributed pure state: normalized i.i.d. complex Gaussian vector."""
-    dim = _positive_dim(dim)
+    dim = _positive(dim, "dim")
     g = rng.normal(size=(2, dim))  # the doubles of two size-dim draws, in their order
     return _normalized(g[0] + 1j * g[1])
 
@@ -145,7 +138,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     qr_reduced forms Q from it.  A non-finite result raises LinAlgError, as
     np.linalg.qr raises it.
     """
-    dim = _positive_dim(dim)
+    dim = _positive(dim, "dim")
     g = rng.normal(size=(2, dim, dim))  # the doubles of two (dim, dim) draws, in their order
     z = (g[0] + 1j * g[1]) / np.sqrt(2.0)
     with np.errstate(all="ignore"):
@@ -189,7 +182,7 @@ def state_from_angles(dim: int, angles) -> PureState:
     (model._real), so a string, a bool or a non-finite angle raises
     ValueError.
     """
-    dim = _positive_dim(dim)
+    dim = _positive(dim, "dim")
     angles = [_real(a) for a in angles]
     if len(angles) != 2 * dim - 2:
         raise ValueError(f"need {2 * dim - 2} angles for dim {dim}, got {len(angles)}")
@@ -288,14 +281,14 @@ class _SpaceImpl:
     """Family-specific parameterization behind the generic optimizer."""
 
     def __init__(self, space: SearchSpace):
-        self.family = Family(space.family)
+        self.family = _at("SearchSpace.family", Family, space.family)
         self.value_map_spec = space.value_map_spec
         self.recalibrate = _value_map(space.value_map_spec, "SearchSpace.value_map_spec")
         probe_dim = space.probe_dim
         if probe_dim is None:
             probe_dim = 4 if self.family is Family.SHIFT else 2
-        self.object_dim = _at("SearchSpace.object_dim", _integer, space.object_dim)
-        self.probe_dim = _at("SearchSpace.probe_dim", _integer, probe_dim)
+        self.object_dim = _positive_integer(space.object_dim, "SearchSpace.object_dim")
+        self.probe_dim = _positive_integer(probe_dim, "SearchSpace.probe_dim")
         if self.family is Family.SIGMA_PHI and (self.object_dim, self.probe_dim) != (2, 2):
             raise ValueError(f"sigma_phi is a qubit model: object_dim and probe_dim must be 2, "
                              f"got {self.object_dim} and {self.probe_dim}")
@@ -308,7 +301,8 @@ class _SpaceImpl:
             space.y0_spec, _resolve_observable(space.y0_spec, "SearchSpace.y0_spec"))
         for name, obs in (("x0", self.x0), ("y0", self.y0)):
             if obs.dim != self.object_dim:
-                raise ValueError(f"SearchSpace.{name}_spec: observable dim {obs.dim} != object_dim {self.object_dim}")
+                raise ScenarioError(f"observable dim {obs.dim} != object_dim {self.object_dim}",
+                                    f"SearchSpace.{name}_spec")
 
         model_b = []  # leading coordinates that change the model, not the state
         if self.family is Family.SIGMA_PHI:
@@ -320,10 +314,8 @@ class _SpaceImpl:
                 model_b = _state_bounds(hi - lo + 1)
             else:
                 self.fixed_probe = _at("SearchSpace.probe_state", PureState, space.probe_state).amplitudes
-                try:  # fail fast
-                    build_model("shift", {"probe_dim": self.probe_dim, "probe_state": self.fixed_probe}, self.x0)
-                except ScenarioError as e:
-                    raise ScenarioError(str(e).removeprefix(f"{e.path}: "), "SearchSpace.probe_state") from None
+                _at("SearchSpace.probe_state", build_model,  # fail fast
+                    "shift", {"probe_dim": self.probe_dim, "probe_state": self.fixed_probe}, self.x0)
         self.n_model_params = len(model_b)
         self.bounds = model_b + _state_bounds(self.object_dim)
         self.nparams = len(self.bounds)
@@ -466,9 +458,10 @@ def search_min_slack(
     """
     rid = RelationId(relation_id)
     budget = _at("budget", _integer, budget)
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
     seed = _at("seed", _integer, seed)
+    for name, value in (("budget", budget), ("seed", seed)):
+        if value < 0:
+            raise ScenarioError(f"{name} must be nonnegative", name)
     tol = _at("tol", _tolerance, tol)
     impl = _SpaceImpl(space)
     rng = np.random.default_rng(seed)
@@ -522,13 +515,13 @@ def certify(result: SearchResult) -> RelationVerdict:
     """Re-evaluate a witness from its scenario document, from scratch.
 
     Raises CertificationError if the reproduced slack strays from the
-    recorded one by more than CERTIFY_ATOL.
+    recorded one by more than CERTIFY_ATOL, or the recorded one is NaN.
     """
     if result.witness_doc is None:
         raise CertificationError("result carries no witness")
     cfg = build_configuration(scenario_from_dict(result.witness_doc))
     verdict = check(result.relation_id, cfg.model, cfg.state, cfg.x0, cfg.y0, tol=cfg.tolerance)
-    if not math.isfinite(verdict.slack) or abs(verdict.slack - result.best_slack) > CERTIFY_ATOL:
+    if not abs(verdict.slack - result.best_slack) <= CERTIFY_ATOL:
         raise CertificationError(
             f"witness does not reproduce: recorded slack {result.best_slack!r}, "
             f"recomputed {verdict.slack!r}"
