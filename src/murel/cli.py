@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .relations import DEFAULT_TOL, RelationId, check
-from .reporting import _table, configuration_row, render_csv, render_json_lines
+from .reporting import _configuration_rows, _table, configuration_row, render_csv, render_json_lines
 from .reporting import spin_reference_rows
 from .scenario import BuiltConfiguration, Scenario, ScenarioError, _model_fields, _value_map, build_configuration
 from .scenario import build_model, parse_scenario, scenario_to_text
@@ -156,7 +156,8 @@ def cmd_sweep(args) -> int:
     read = _model_fields(sc.family)[args.param][0]  # the reader Scenario uses for this field
     grid = [read(value, f"scenario.model.{args.param}") for value in _parse_grid(args.grid)]
     # The scenario was validated when it was read.  The first grid point resolves x0, y0, the
-    # state and the value map; each later point builds only its model, on the same parts.
+    # state and the value map; each later point builds only its model, on the same parts.  All
+    # the points are evaluated as one stack.
     scenarios = [Scenario._trusted(**{**vars(sc), "model_params": {**sc.model_params, args.param: value}})
                  for value in grid]
     first = build_configuration(scenarios[0])
@@ -166,9 +167,7 @@ def cmd_sweep(args) -> int:
                            first.state, first.x0, first.y0, scenario)
         for scenario in scenarios[1:]
     )]
-    rows = [configuration_row(cfg, section="sweep", param_name=args.param, param_value=value)
-            for cfg, value in zip(configs, grid)]
-    _emit_rows(rows, args.format)
+    _emit_rows(_configuration_rows(configs, section="sweep", param_name=args.param, param_values=grid), args.format)
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .metrics import Evaluation
+from .metrics import _table_statistics
 from .model import READOUT_MERGE_GAP
 from .relations import RelationId, verdicts
 from .scenario import BuiltConfiguration, Scenario, build_configuration, vector_pairs
@@ -79,6 +79,50 @@ def _outcome_string(pairs) -> str:
     return ";".join(f"{float(v)!r}:{float(p)!r}" for v, p in pairs)
 
 
+def _configuration_rows(
+    cfgs: list[BuiltConfiguration],
+    *,
+    section: str = "",
+    param_name: str = "",
+    param_values: list[float] | None = None,
+) -> list[dict[str, Any]]:
+    """Report rows of configurations, one per configuration, the statistics of all from one stacked pass.
+
+    metrics._table_statistics evaluates the configurations that share object
+    dim, probe dim and meter as one stack; each row's outcomes, metric cells
+    and verdicts are its own.
+    """
+    stats = _table_statistics([(cfg.model, cfg.state, cfg.x0, cfg.y0) for cfg in cfgs])
+    rows = []
+    for cfg, ev, param_value in zip(cfgs, stats, param_values or [None] * len(cfgs)):
+        pairs = ev.outcome_probabilities()
+
+        row: dict[str, Any] = dict.fromkeys(COLUMNS)
+        sc = cfg.scenario
+        row["scenario_id"] = sc.scenario_id or ""
+        row["section"] = section
+        row["family"] = sc.family
+        row["phi_degrees"] = sc.model_params.get("phi_degrees")
+        row["state"] = _state_label(sc.state_spec)
+        row["param_name"] = param_name
+        row["param_value"] = param_value
+        row["outcomes"] = _outcome_string(pairs)
+        values = [v for v, _ in pairs]
+        if len(values) <= 2 and all(min(abs(v - 1.0), abs(v + 1.0)) <= READOUT_MERGE_GAP for v in values):
+            plus = sum(p for v, p in pairs if abs(v - 1.0) <= READOUT_MERGE_GAP)
+            minus = sum(p for v, p in pairs if abs(v + 1.0) <= READOUT_MERGE_GAP)
+            row["p_plus"] = float(plus)
+            row["p_minus"] = float(minus)
+
+        row.update(ev.metrics)  # the MetricsReport fields are metric columns of the same names
+        row["variance_identity_residual"] = ev.sigma_mvo**2 - ev.sigma_x0**2 - ev.eps_x0**2
+        row.update(zip(_VERDICT_COLUMNS, [
+            cell for v in verdicts(ev, tol=cfg.tolerance) for cell in (v.lhs, v.rhs, v.slack, v.holds)
+        ]))
+        rows.append(row)
+    return rows
+
+
 def configuration_row(
     cfg: BuiltConfiguration,
     *,
@@ -88,34 +132,7 @@ def configuration_row(
     extras: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """One report row: metrics, outcome statistics, and all relation verdicts."""
-    ev = Evaluation(cfg.model, cfg.state, cfg.x0, cfg.y0)
-    report = ev.report()
-    pairs = ev.outcome_probabilities()
-
-    row: dict[str, Any] = dict.fromkeys(COLUMNS)
-    sc = cfg.scenario
-    row["scenario_id"] = sc.scenario_id or ""
-    row["section"] = section
-    row["family"] = sc.family
-    row["phi_degrees"] = sc.model_params.get("phi_degrees")
-    row["state"] = _state_label(sc.state_spec)
-    row["param_name"] = param_name
-    row["param_value"] = param_value
-    row["outcomes"] = _outcome_string(pairs)
-    values = [v for v, _ in pairs]
-    if len(values) <= 2 and all(min(abs(v - 1.0), abs(v + 1.0)) <= READOUT_MERGE_GAP for v in values):
-        plus = sum(p for v, p in pairs if abs(v - 1.0) <= READOUT_MERGE_GAP)
-        minus = sum(p for v, p in pairs if abs(v + 1.0) <= READOUT_MERGE_GAP)
-        row["p_plus"] = float(plus)
-        row["p_minus"] = float(minus)
-
-    row.update(vars(report))  # the report fields are metric columns of the same names
-    row["variance_identity_residual"] = (
-        report.sigma_mvo**2 - report.sigma_x0**2 - report.eps_x0**2
-    )
-    row.update(zip(_VERDICT_COLUMNS, [
-        cell for v in verdicts(ev, tol=cfg.tolerance) for cell in (v.lhs, v.rhs, v.slack, v.holds)
-    ]))
+    row = _configuration_rows([cfg], section=section, param_name=param_name, param_values=[param_value])[0]
     if extras:
         unknown = sorted(set(extras) - set(COLUMNS))
         if unknown:
@@ -214,12 +231,11 @@ def spin_reference_rows() -> list[dict[str, Any]]:
     and rescale_demo (value map scale:100 keeps error-based relations valid
     while breaking the spread-based ones).
     """
-    rows: list[dict[str, Any]] = []
-    computed: dict[tuple[float, str, str], dict[str, Any]] = {}  # (phi, state, value map) -> its row
-    for section, phi, state, scenario_id, value_map in _SPIN_ROWS:
+    built: dict[tuple[float, str, str], BuiltConfiguration] = {}  # (phi, state, value map) -> its configuration
+    for _, phi, state, scenario_id, value_map in _SPIN_ROWS:
         key = (phi, state, value_map)
-        if key not in computed:  # each distinct configuration is evaluated once
-            computed[key] = configuration_row(build_configuration(Scenario._trusted(
+        if key not in built:  # each distinct configuration is built and evaluated once
+            built[key] = build_configuration(Scenario._trusted(
                 family="sigma_phi",  # literal fields, valid by construction
                 model_params={"phi_degrees": phi},
                 state_spec=state,
@@ -227,9 +243,12 @@ def spin_reference_rows() -> list[dict[str, Any]]:
                 y0_spec="sigma_y",
                 value_map_spec=value_map,
                 scenario_id=scenario_id,
-            )))
+            ))
+    computed = dict(zip(built, _configuration_rows(list(built.values()))))
+    rows: list[dict[str, Any]] = []
+    for section, phi, state, scenario_id, value_map in _SPIN_ROWS:
         swept = section == "calibration_residuals"
-        row = {**computed[key], "scenario_id": scenario_id, "section": section,
+        row = {**computed[phi, state, value_map], "scenario_id": scenario_id, "section": section,
                "param_name": "phi_degrees" if swept else "", "param_value": phi if swept else None}
         if section == "eigenstate_error_laws":
             half_angle = abs(math.sin(math.radians(phi) / 2.0))

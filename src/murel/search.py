@@ -220,7 +220,9 @@ class SearchSpace:
     family's built-in calibration.  For the shift family, probe_state pins
     the probe so only the object state is searched; leave it None to search
     the probe amplitudes as well (restricted to pointer levels that cannot
-    wrap the register).
+    wrap the register).  Only the shift family takes a probe_state: sigma_phi
+    and random_unitary reject one with a ScenarioError at
+    SearchSpace.probe_state.
     """
 
     family: Family | str
@@ -282,6 +284,9 @@ class _SpaceImpl:
 
     def __init__(self, space: SearchSpace):
         self.family = _at("SearchSpace.family", Family, space.family)
+        if space.probe_state is not None and self.family is not Family.SHIFT:
+            raise ScenarioError(f"{self.family.value} takes no probe_state: only the shift family pins its probe",
+                                "SearchSpace.probe_state")
         self.value_map_spec = space.value_map_spec
         self.recalibrate = _value_map(space.value_map_spec, "SearchSpace.value_map_spec")
         probe_dim = space.probe_dim
