@@ -229,9 +229,21 @@ class HermitianObservable:
         return tuple((value, _freeze(idx)) for value, idx in eigen_clusters(self.eigenvalues))
 
     @_cached
-    def _cluster_columns(self) -> tuple[tuple[float, slice], ...]:
-        """Each of _clusters with its ascending, contiguous index array as a slice."""
-        return tuple((value, slice(int(idx[0]), int(idx[-1]) + 1)) for value, idx in self._clusters)
+    def _readout_layout(self) -> tuple[tuple[tuple[float, int, int], ...], tuple[np.ndarray | None, ...]]:
+        """Each of _clusters' (value, group, index in the group), and the groups, by cluster width.
+
+        The one-column group is None: it reads every column in place, and a
+        cluster's index is its column.  The G clusters of a width k > 1 are
+        a read-only (G, k) array of column indices.
+        """
+        widths = sorted({idx.size for _, idx in self._clusters})
+        members: dict[int, list[np.ndarray]] = {k: [] for k in widths}
+        slots = []
+        for value, idx in self._clusters:
+            same = members[idx.size]
+            slots.append((value, widths.index(idx.size), int(idx[0]) if idx.size == 1 else len(same)))
+            same.append(idx)
+        return tuple(slots), tuple(None if k == 1 else _freeze(np.array(members[k])) for k in widths)
 
     @_cached
     def _conj_eigenvectors(self) -> np.ndarray:

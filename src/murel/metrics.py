@@ -23,7 +23,10 @@ stack, one numpy call each over a leading configuration axis.  On a sigma_phi
 timeit), HEISENBERG_E1's sides cost 23 us from an Evaluation and 121 us from
 a stack of one, which computes them all; a full row's statistics, outcomes
 and nine verdicts cost 142 us from an Evaluation and 37 us per row from a
-stack of 24.
+stack of 24.  Both read the readouts, each meter cluster's probability and
+the conditional mean and spread of x0 it leaves, from one pass, `_readouts`:
+a table calls it with its stack, an Evaluation with a stack of one on the
+first read of `readouts`.  The meter keeps its cluster layout.
 """
 
 from __future__ import annotations
@@ -34,15 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import HermitianObservable, MixedState, PureState, _cached, _singular_values, spectral_norm
-from .model import (
-    ZERO_PROB,
-    IndirectModel,
-    _check_fit,
-    _matched_readout,
-    calibrated_outcomes,
-    evolved_amplitudes,
-    readout_clusters,
-)
+from .model import ZERO_PROB, IndirectModel, _check_fit, _matched_readout, _named_real, _readout_groups
+from .model import calibrated_outcomes, evolved_amplitudes, readout_clusters  # noqa: F401  (stays a metrics name)
 
 __all__ = [
     "Evaluation",
@@ -89,15 +85,6 @@ def _random_part(eps_x0: float, eps_sys: float, sigma_x0: float) -> float | None
     if sigma_x0 <= EIGENSTATE_SIGMA_ATOL:
         return math.sqrt(max(eps_x0 * eps_x0 - eps_sys * eps_sys, 0.0))
     return None
-
-
-def _conditional_error(mean: float, sigma: float, assigned: float) -> tuple[float, float]:
-    """(eps_cond, sigma_cond) from the conditional mean and spread of x0 and the assigned value."""
-    try:
-        bias_sq = (mean - assigned) ** 2  # libm pow, as numpy's float64 power calls it: the same bits
-    except OverflowError:  # the error is inf, which the verdict rejects as non-finite
-        bias_sq = math.inf
-    return math.sqrt(sigma * sigma + bias_sq), sigma
 
 
 def stddev(state: PureState | MixedState, observable) -> float:
@@ -266,49 +253,69 @@ class Evaluation:
         )
 
     @_cached
-    def readouts(self) -> list[tuple[float, np.ndarray, float]]:
-        return readout_clusters(self.model, self.amps)
+    def readouts(self) -> list[tuple[float, float, float | None, float | None]]:
+        return _readouts([self.model], self.amps[None], self.x0.matrix[None])[0]
 
     def outcome_probabilities(self) -> list[tuple[float, float]]:
-        return calibrated_outcomes(self.model, [(value, prob) for value, _, prob in self.readouts])
-
-    def _conditional(self, readout: float, coeffs: np.ndarray, prob: float) -> tuple[float, float]:
-        """(eps_cond, sigma_cond) in the conditional object state coeffs coeffs^dag / prob, prob > ZERO_PROB."""
-        assigned = float(self.model.value_map_xt(float(readout)))
-        x_coeffs = self.x0.matrix @ coeffs
-        mean = float(np.vdot(coeffs, x_coeffs).real) / prob
-        return _conditional_error(mean, _norm(x_coeffs - mean * coeffs) / math.sqrt(prob), assigned)
+        return calibrated_outcomes(self.model, [(value, prob) for value, prob, _, _ in self.readouts])
 
     def conditional_resolution(self, readout: float) -> tuple[float, float]:
-        return self._conditional(readout, *_matched_readout(self.readouts, readout))
+        return self.readouts[_matched_readout(self.readouts, _named_real(readout, "readout"))][2:]  # (eps, sigma)
 
     def conditional_pairs(self, floor: float = ZERO_PROB) -> list[tuple[float, float, float, float]]:
-        return [
-            (value, prob, *self._conditional(value, coeffs, prob))
-            for value, coeffs, prob in self.readouts
-            if prob > max(floor, ZERO_PROB)
-        ]
+        floor = max(floor, ZERO_PROB)
+        return [record for record in self.readouts if record[1] > floor]
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _readouts(models: list[IndirectModel], amps: np.ndarray, x0s: np.ndarray) -> list[list[tuple]]:
+    """The readout pass of both evaluators: each configuration's record per meter cluster.
+
+    A record is (value, Born probability, eps_cond, sigma_cond), the last two None for an
+    impossible readout (probability at most ZERO_PROB).  amps (n, o, p) are the evolved states of
+    n configurations of one meter, x0s (n, o, o) their targets.  Each np.vecdot reads its vectors
+    with np.vdot's strides, so a record has the per-cluster formula's bits; np.vecdot warns where
+    np.vdot does not, and an impossible readout divides by zero, so numpy's warnings are off.
+    """
+    groups = []
+    for coeffs, probs in _readout_groups(models[0].meter, amps):
+        c = coeffs.reshape(*coeffs.shape[:2], -1)  # each cluster's coefficients c and x0 c, as vectors
+        x_c = (x0s[:, None] @ coeffs).reshape(c.shape)
+        means = np.vecdot(c, x_c).real / probs  # the conditional mean of x0, <c|x0 c> / prob
+        gaps = x_c - means[..., None] * c
+        groups.append((probs.tolist(), means.tolist(), np.vecdot(gaps, gaps).real.tolist()))
+    slots, records = models[0].meter._readout_layout[0], []
+    for i, model in enumerate(models):
+        row = []
+        for value, g, j in slots:
+            probs, means, squares = groups[g]
+            prob = probs[i][j]
+            if prob <= ZERO_PROB:
+                row.append((value, prob, None, None))
+                continue
+            sigma = math.sqrt(squares[i][j]) / math.sqrt(prob)
+            try:  # libm pow, as numpy's float64 power calls it: the same bits
+                bias_sq = (means[i][j] - float(model.value_map_xt(value))) ** 2
+            except OverflowError:  # the error is inf, which the verdict rejects as non-finite
+                bias_sq = math.inf
+            row.append((value, prob, math.sqrt(sigma * sigma + bias_sq), sigma))
+        records.append(row)
+    return records
 
 
 class _TableStatistics:
     """One configuration's statistics from _table_statistics, by the names Evaluation gives them.
 
     `metrics` holds the MetricsReport fields by name.  relations.verdicts
-    reads its sides from this as from an Evaluation, and
-    outcome_probabilities() and conditional_pairs() return what
-    Evaluation's return.
+    reads its sides from this as from an Evaluation, its readouts too.
     """
 
     def __init__(self, metrics: dict, **extras):
         vars(self).update(metrics, **extras)
         self.metrics = metrics
 
-    def outcome_probabilities(self) -> list[tuple[float, float]]:
-        return self.outcomes
-
-    def conditional_pairs(self, floor: float = ZERO_PROB) -> list[tuple[float, float, float, float]]:
-        floor = max(floor, ZERO_PROB)
-        return [pair for pair in self.conditionals if pair[1] > floor]
+    outcome_probabilities = Evaluation.outcome_probabilities
+    conditional_pairs = Evaluation.conditional_pairs
 
 
 def _table_statistics(configs: list[tuple]) -> list[_TableStatistics]:
@@ -345,15 +352,6 @@ _SPREADS = np.array([5, 4])
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _vdots(pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-    """np.vecdot of each pair of stacks of vectors.
-
-    np.vdot, which Evaluation calls, never warns, but np.vecdot warns of an
-    overflow or an invalid value, so these run with those warnings off.
-    """
-    return [np.vecdot(a, b) for a, b in pairs]
-
-
 def _stacked_statistics(configs: list[tuple]) -> list[_TableStatistics]:
     """_table_statistics of configurations that share object dim, probe dim and meter.
 
@@ -362,7 +360,9 @@ def _stacked_statistics(configs: list[tuple]) -> list[_TableStatistics]:
     and np.vecdot make, item for item, the bits of 2-D @ 1-D, 2-D @ 2-D and
     np.vdot, and elementwise arithmetic is the same wherever an item sits.
     Each np.vecdot reads its vectors with the strides np.vdot reads them
-    with, since BLAS sums a strided vector in another order.  The scalar
+    with, since BLAS sums a strided vector in another order.  np.vdot, which
+    Evaluation calls, never warns, but np.vecdot warns of an overflow or an
+    invalid value, so the pass runs with those warnings off.  The scalar
     work of each configuration is its own, as in Evaluation.
     """
     models = [model for model, _, _, _ in configs]
@@ -383,43 +383,15 @@ def _stacked_statistics(configs: list[tuple]) -> list[_TableStatistics]:
     vecs = np.concatenate((evolved, xy @ amps[:, None], amps[:, None] * values[:, :, None]), axis=1)
     vecs = np.concatenate((vecs, vecs.take(_GAPS[0], 1) - vecs.take(_GAPS[1], 1)), axis=1).reshape(n, 10, -1)
 
-    # The readout coefficients in groups of G clusters, each laid out as readout_clusters lays it out:
-    # first every meter column, as it takes a one-column cluster (strided), then each wider cluster (a
-    # column-major copy).  A group is (coefficients (n, G, o, k), the same as vectors (n, G, o k), and
-    # column-major, contiguous vectors, which readout_clusters sums for the probabilities).
-    columns = amps.swapaxes(1, 2)
-    groups = [(columns[..., None], columns, np.ascontiguousarray(columns))]
-    slots = []  # each cluster's (value, group, index in the group)
-    for value, cols in meter._cluster_columns:
-        if cols.stop - cols.start == 1:
-            slots.append((value, 0, cols.start))
-        else:
-            by_column = np.ascontiguousarray(amps[:, None, :, cols].swapaxes(2, 3))
-            coeffs = by_column.swapaxes(2, 3)
-            slots.append((value, len(groups), 0))
-            groups.append((coeffs, coeffs.reshape(n, 1, -1), by_column.reshape(n, 1, -1)))
-    probs = [np.add.reduce(np.square(np.abs(summed)), axis=2).tolist() for _, _, summed in groups]
-    readout_pairs = [(flat, (x0s[:, None] @ coeffs).reshape(flat.shape)) for coeffs, flat, _ in groups]
-
-    object_dots, joint_dots, *readout_dots = _vdots([
-        (vectors.take(_OBJECT_PAIRS[0], 1), vectors.take(_OBJECT_PAIRS[1], 1)),
-        (vecs.take(_JOINT_PAIRS[0], 1), vecs.take(_JOINT_PAIRS[1], 1)),
-        *readout_pairs,
-    ])
-    readout_means = [  # conditional means of x0; an impossible readout has none, and reads 0
-        [[dot / prob if prob > ZERO_PROB else 0.0 for dot, prob in zip(*row)] for row in zip(dots, group_probs)]
-        for dots, group_probs in zip((dots.real.tolist() for dots in readout_dots), probs)
-    ]
-    spread_gaps = [
+    object_dots = np.vecdot(vectors.take(_OBJECT_PAIRS[0], 1), vectors.take(_OBJECT_PAIRS[1], 1))
+    joint_dots = np.vecdot(vecs.take(_JOINT_PAIRS[0], 1), vecs.take(_JOINT_PAIRS[1], 1))
+    gaps = [
         vectors[:, 1:] - object_dots.real[:, :2, None] * psi[:, None],  # sigma_x0, sigma_y0
         vecs.take(_SPREADS, 1) - joint_dots.real[:, :2, None] * vecs[:, :1],  # sigma_mvo, sigma_yt
-        *(x_coeffs - np.array(means)[:, :, None] * coeffs
-          for means, (coeffs, x_coeffs) in zip(readout_means, readout_pairs)),  # sigma_cond of each readout
     ]
-    object_spreads, joint_spreads, *readout_norms = (
-        np.sqrt(squares.real).tolist() for squares in _vdots([(g, g) for g in spread_gaps])
-    )
+    object_spreads, joint_spreads = (np.sqrt(np.vecdot(gap, gap).real).tolist() for gap in gaps)
 
+    readouts = _readouts(models, amps, x0s)
     bias_norms = _singular_values(_bias_operators(parts, meter, x0s))[:, :, 0].tolist()
     error_norms = np.sqrt(joint_dots[:, 3:].real).tolist()
     stats = []
@@ -428,21 +400,13 @@ def _stacked_statistics(configs: list[tuple]) -> list[_TableStatistics]:
         sigma_x0, sigma_y0 = object_spreads[i]
         delta = joint_dot[0].real - object_dot[0].real
         eps_sys = abs(delta)
-        readouts = [(value, probs[g][i][j], g, j) for value, g, j in slots]
-        conditionals = [
-            (value, prob, *_conditional_error(readout_means[g][i][j], readout_norms[g][i][j] / math.sqrt(prob),
-                                              float(model.value_map_xt(float(value)))))
-            for value, prob, g, j in readouts
-            if prob > ZERO_PROB
-        ]
         stats.append(_TableStatistics(
             {"eps_x0": eps_x0, "eps_xt": eps_xt, "eta_y0": eta_y0, "sigma_x0": sigma_x0, "sigma_y0": sigma_y0,
              "sigma_mvo": joint_spreads[i][0], "delta": delta, "eps_sys": eps_sys,
              "eps_rand": _random_part(eps_x0, eps_sys, sigma_x0),
              "unbias_res_x0": bias_norms[i][0], "unbias_res_xt": bias_norms[i][1]},
             object_bound=abs(object_dot[2].imag), evolved_bound=abs(joint_dot[2].imag), sigma_yt=joint_spreads[i][1],
-            outcomes=calibrated_outcomes(model, [(value, prob) for value, prob, _, _ in readouts]),
-            conditionals=conditionals,
+            model=model, readouts=readouts[i],
         ))
     return stats
 
@@ -521,6 +485,7 @@ def conditional_resolution(
     eps_cond is the RMS gap to the assigned value m = value_map_xt(readout)
     in the conditional post-measurement object state; sigma_cond is the plain
     standard deviation there.  eps_cond^2 = sigma_cond^2 + (mean - m)^2.
+    readout is read by the real-number rule (_real).
     """
     return Evaluation(model, state, x0, x0).conditional_resolution(readout)
 
@@ -531,8 +496,9 @@ def conditional_pairs(
     """(readout, probability, eps_cond, sigma_cond) for readouts above the floor.
 
     A readout at or below ZERO_PROB is impossible and skipped for any floor.
+    floor is read by the real-number rule (_real).
     """
-    return Evaluation(model, state, x0, x0).conditional_pairs(floor)
+    return Evaluation(model, state, x0, x0).conditional_pairs(_named_real(floor, "floor"))
 
 
 def full_report(

@@ -481,21 +481,33 @@ def _evolved_state(model: IndirectModel, state: PureState) -> np.ndarray:
     return evolved_amplitudes(model, state.amplitudes[None, :])[0]
 
 
+def _readout_groups(meter: HermitianObservable, amps: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per group of meter._readout_layout, the coefficients (n, G, object_dim, k) of evolved states amps
+    (n, object_dim, probe_dim) in its G clusters of k columns, and their Born probabilities (n, G).
+
+    One-column clusters are read in place, strided as a slice takes them, since BLAS sums a strided
+    vector in another order than a contiguous one; wider ones as the column-major copy an index array
+    makes.  A probability adds its coefficients in column-major order.
+    """
+    n, o, p = amps.shape
+    groups = []
+    for index in meter._readout_layout[1]:
+        by_column = (amps.reshape(n, o, p, 1).transpose(0, 2, 3, 1) if index is None  # (n, G, k, o)
+                     else np.ascontiguousarray(amps.swapaxes(1, 2)[:, index]))
+        summed = np.ascontiguousarray(by_column).reshape(n, by_column.shape[1], -1)
+        groups.append((by_column.swapaxes(2, 3), np.add.reduce(np.square(np.abs(summed)), axis=2)))
+    return groups
+
+
 def readout_clusters(model: IndirectModel, amplitudes: np.ndarray) -> list[tuple[float, np.ndarray, float]]:
     """(readout value, coefficients, Born probability) per meter eigenvalue cluster.
 
     amplitudes is one evolved state laid out as by evolved_amplitudes; the
     coefficients are its columns in the cluster, object index by
-    cluster-internal index.
+    cluster-internal index.  This is the one-state view of _readout_groups.
     """
-    readouts = []
-    for value, columns in model.meter._cluster_columns:
-        coeffs = amplitudes[:, columns]
-        if coeffs.shape[1] > 1:
-            # column-major, as an index array takes the columns, so the sum below adds in that order
-            coeffs = coeffs.copy(order="F")
-        readouts.append((value, coeffs, float(np.add.reduce(np.square(np.abs(coeffs)), axis=None))))
-    return readouts
+    groups = [(coeffs[0], probs[0].tolist()) for coeffs, probs in _readout_groups(model.meter, amplitudes[None])]
+    return [(value, groups[g][0][j], groups[g][1][j]) for value, g, j in model.meter._readout_layout[0]]
 
 
 def readout_probabilities(model: IndirectModel, state: PureState) -> list[tuple[float, float]]:
@@ -528,13 +540,21 @@ def outcome_probabilities(model: IndirectModel, state: PureState) -> list[tuple[
     return calibrated_outcomes(model, readout_probabilities(model, state))
 
 
-def _matched_readout(readouts: list, readout: float) -> tuple[np.ndarray, float]:
-    """(coefficients, probability) of the readout cluster at a raw meter eigenvalue of nonzero probability."""
-    for value, coeffs, prob in readouts:
+def _named_real(obj: object, name: str) -> float:
+    """obj read by the real-number rule (_real); its ValueError names the argument."""
+    try:
+        return _real(obj)
+    except ValueError as e:
+        raise ValueError(f"{name}: {e}") from None
+
+
+def _matched_readout(readouts: list, readout: float) -> int:
+    """The index, in (value, probability, ...) records, of a raw meter eigenvalue of nonzero probability."""
+    for i, (value, prob, *_) in enumerate(readouts):
         if abs(value - readout) <= DEGENERACY_GAP:
             if prob <= ZERO_PROB:
                 raise ValueError(f"readout {readout!r} has probability {prob!r}; conditioning undefined")
-            return coeffs, prob
+            return i
     raise ValueError(f"readout {readout!r} is not a meter eigenvalue")
 
 
@@ -544,8 +564,9 @@ def conditional_post_state(
     """Object state after observing a raw meter eigenvalue, with its probability.
 
     Conditioning on an outcome of probability <= ZERO_PROB is undefined and
-    rejected.
+    rejected.  readout is read by the real-number rule (_real).
     """
-    coeffs, prob = _matched_readout(readout_clusters(model, _evolved_state(model, state)), readout)
+    readout, clusters = _named_real(readout, "readout"), readout_clusters(model, _evolved_state(model, state))
+    _, coeffs, prob = clusters[_matched_readout([(value, prob) for value, _, prob in clusters], readout)]
     rho = coeffs @ coeffs.conj().T / prob
     return MixedState((rho + rho.conj().T) / 2), prob

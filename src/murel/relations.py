@@ -13,7 +13,7 @@ from enum import Enum
 
 from .linalg import HermitianObservable, PureState
 from .metrics import Evaluation
-from .model import ZERO_PROB, EvolvedOperators, IndirectModel, _real
+from .model import ZERO_PROB, EvolvedOperators, IndirectModel, _named_real, _real
 
 __all__ = ["DEFAULT_TOL", "RelationId", "RelationVerdict", "check", "check_all", "verdicts"]
 
@@ -78,8 +78,7 @@ def _worst_readout(ev: Evaluation, readout_floor: float) -> tuple[float, float]:
     pairs = ev.conditional_pairs(readout_floor)
     if not pairs:
         raise ValueError("no readout above the probability floor")
-    _, _, eps, sigma = min(pairs, key=lambda p: p[2] - p[3])
-    return eps, sigma
+    return min(pairs, key=lambda p: p[2] - p[3])[2:]
 
 
 # (lhs, rhs) of every relation, read from one evaluation, in declaration order.
@@ -117,12 +116,13 @@ def check(
     gives bit-identical sides.  SQL_COND_E3 is checked per readout
     (probability above readout_floor) and the verdict carries the worst
     readout; use metrics.conditional_pairs for the full per-readout listing.
+    readout_floor is read by the real-number rule (model._real).
     `evolved` is accepted for compatibility and ignored: every side is read
     from the evolved state, not from Heisenberg operators.  tol must pass
     the tolerance rule: a finite number greater than 0.  A slack that is
     not finite raises ValueError naming the relation.
     """
-    return _check(relation_id, model, state, x0, y0, _tolerance(tol), readout_floor)
+    return _check(relation_id, model, state, x0, y0, _tolerance(tol), _named_real(readout_floor, "readout_floor"))
 
 
 def _check(

@@ -22,13 +22,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from murel.linalg import PureState, herm_eig
-from murel.metrics import Evaluation
+from murel.metrics import Evaluation, conditional_pairs, conditional_resolution
 from murel.model import (
     NAMED_OBSERVABLES,
     NAMED_QUBIT_STATES,
     IndirectModel,
     build_shift_model,
     build_sigma_phi,
+    conditional_post_state,
 )
 from murel.relations import check, check_all, verdicts
 from murel.scenario import Scenario
@@ -99,6 +100,10 @@ CASES = {
     "check.tol": (MALFORMED_TOLERANCE, lambda v: check("OZAWA_E2", MODEL, PLUS_Z, SX, SY, tol=v)),
     "check_all.tol": (MALFORMED_TOLERANCE, lambda v: check_all(MODEL, PLUS_Z, SX, SY, tol=v)),
     "verdicts.tol": (MALFORMED_TOLERANCE, lambda v: verdicts(Evaluation(MODEL, PLUS_Z, SX, SY), tol=v)),
+    "conditional_pairs.floor": (MALFORMED_REAL, lambda v: conditional_pairs(MODEL, PLUS_Z, SX, floor=v)),
+    "check.readout_floor": (MALFORMED_REAL, lambda v: check("SQL_COND_E3", MODEL, PLUS_Z, SX, SY, readout_floor=v)),
+    "conditional_resolution.readout": (MALFORMED_REAL, lambda v: conditional_resolution(MODEL, PLUS_Z, SX, v)),
+    "conditional_post_state.readout": (MALFORMED_REAL, lambda v: conditional_post_state(MODEL, PLUS_Z, v)),
     "search_min_slack.budget": (st.one_of(NOT_AN_INTEGER, NEGATIVE_INTEGER), lambda v: search(budget=v)),
     "search_min_slack.seed": (st.one_of(NOT_AN_INTEGER, NEGATIVE_INTEGER), lambda v: search(seed=v)),
     "search_min_slack.tol": (MALFORMED_TOLERANCE, lambda v: search(tol=v)),
