@@ -22,7 +22,7 @@ stack, one numpy call each over a leading configuration axis.  On a sigma_phi
 2x2 row (2 shared vCPUs, Python 3.11.7, numpy 2.4.6, one BLAS thread,
 timeit), HEISENBERG_E1's sides cost 23 us from an Evaluation and 121 us from
 a stack of one, which computes them all; a full row's statistics, outcomes
-and nine verdicts cost 142 us from an Evaluation and 37 us per row from a
+and nine verdicts cost 107 us from an Evaluation and 25 us per row from a
 stack of 24.  Both read the readouts, each meter cluster's probability and
 the conditional mean and spread of x0 it leaves, from one pass, `_readouts`:
 a table calls it with its stack, an Evaluation with a stack of one on the
@@ -253,6 +253,7 @@ class Evaluation:
         )
 
     @_cached
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # as _readouts needs
     def readouts(self) -> list[tuple[float, float, float | None, float | None]]:
         return _readouts([self.model], self.amps[None], self.x0.matrix[None])[0]
 
@@ -263,11 +264,16 @@ class Evaluation:
         return self.readouts[_matched_readout(self.readouts, _named_real(readout, "readout"))][2:]  # (eps, sigma)
 
     def conditional_pairs(self, floor: float = ZERO_PROB) -> list[tuple[float, float, float, float]]:
+        """(readout, probability, eps_cond, sigma_cond) of each readout above floor, which is read by the
+        real-number rule (_real); a readout at or below ZERO_PROB is skipped for any floor."""
+        return self._conditional_pairs(_named_real(floor, "floor"))
+
+    def _conditional_pairs(self, floor: float) -> list[tuple[float, float, float, float]]:
+        """conditional_pairs of a floor already read: relations reads its readouts through this."""
         floor = max(floor, ZERO_PROB)
         return [record for record in self.readouts if record[1] > floor]
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _readouts(models: list[IndirectModel], amps: np.ndarray, x0s: np.ndarray) -> list[list[tuple]]:
     """The readout pass of both evaluators: each configuration's record per meter cluster.
 
@@ -275,7 +281,8 @@ def _readouts(models: list[IndirectModel], amps: np.ndarray, x0s: np.ndarray) ->
     impossible readout (probability at most ZERO_PROB).  amps (n, o, p) are the evolved states of
     n configurations of one meter, x0s (n, o, o) their targets.  Each np.vecdot reads its vectors
     with np.vdot's strides, so a record has the per-cluster formula's bits; np.vecdot warns where
-    np.vdot does not, and an impossible readout divides by zero, so numpy's warnings are off.
+    np.vdot does not, and an impossible readout divides by zero, so each caller turns numpy's
+    divide, overflow and invalid warnings off.
     """
     groups = []
     for coeffs, probs in _readout_groups(models[0].meter, amps):
@@ -316,6 +323,7 @@ class _TableStatistics:
 
     outcome_probabilities = Evaluation.outcome_probabilities
     conditional_pairs = Evaluation.conditional_pairs
+    _conditional_pairs = Evaluation._conditional_pairs
 
 
 def _table_statistics(configs: list[tuple]) -> list[_TableStatistics]:
@@ -351,7 +359,7 @@ _GAPS = np.array([5, 6, 4]), np.array([1, 3, 2])
 _SPREADS = np.array([5, 4])
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _stacked_statistics(configs: list[tuple]) -> list[_TableStatistics]:
     """_table_statistics of configurations that share object dim, probe dim and meter.
 
@@ -362,7 +370,8 @@ def _stacked_statistics(configs: list[tuple]) -> list[_TableStatistics]:
     Each np.vecdot reads its vectors with the strides np.vdot reads them
     with, since BLAS sums a strided vector in another order.  np.vdot, which
     Evaluation calls, never warns, but np.vecdot warns of an overflow or an
-    invalid value, so the pass runs with those warnings off.  The scalar
+    invalid value, and _readouts divides by an impossible readout's zero
+    probability, so the pass runs with those warnings off.  The scalar
     work of each configuration is its own, as in Evaluation.
     """
     models = [model for model, _, _, _ in configs]
@@ -498,7 +507,7 @@ def conditional_pairs(
     A readout at or below ZERO_PROB is impossible and skipped for any floor.
     floor is read by the real-number rule (_real).
     """
-    return Evaluation(model, state, x0, x0).conditional_pairs(_named_real(floor, "floor"))
+    return Evaluation(model, state, x0, x0).conditional_pairs(floor)
 
 
 def full_report(

@@ -13,13 +13,17 @@ import csv
 import io
 import json
 import math
+import operator
+from collections.abc import Iterable
+from itertools import chain, compress, filterfalse, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
 
 from .metrics import _table_statistics
 from .model import READOUT_MERGE_GAP
-from .relations import RelationId, verdicts
+from .relations import RelationId, _tolerance, _verdict_cells
 from .scenario import BuiltConfiguration, Scenario, build_configuration, vector_pairs
 
 __all__ = [
@@ -69,10 +73,13 @@ COLUMNS = [
 ]
 
 
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(..., separators=(",", ":"))
+
+
 def _state_label(spec) -> str:
     if isinstance(spec, str):
         return spec
-    return json.dumps(vector_pairs(np.asarray(spec)), separators=(",", ":"))
+    return _compact_json(vector_pairs(np.asarray(spec)))
 
 
 def _outcome_string(pairs) -> str:
@@ -90,7 +97,8 @@ def _configuration_rows(
 
     metrics._table_statistics evaluates the configurations that share object
     dim, probe dim and meter as one stack; each row's outcomes, metric cells
-    and verdicts are its own.
+    and verdict cells are its own, the verdict cells from
+    relations._verdict_cells, with no RelationVerdict made.
     """
     stats = _table_statistics([(cfg.model, cfg.state, cfg.x0, cfg.y0) for cfg in cfgs])
     rows = []
@@ -116,9 +124,7 @@ def _configuration_rows(
 
         row.update(ev.metrics)  # the MetricsReport fields are metric columns of the same names
         row["variance_identity_residual"] = ev.sigma_mvo**2 - ev.sigma_x0**2 - ev.eps_x0**2
-        row.update(zip(_VERDICT_COLUMNS, [
-            cell for v in verdicts(ev, tol=cfg.tolerance) for cell in (v.lhs, v.rhs, v.slack, v.holds)
-        ]))
+        row.update(zip(_VERDICT_COLUMNS, _verdict_cells(ev, _tolerance(cfg.tolerance))))
         rows.append(row)
     return rows
 
@@ -167,23 +173,70 @@ def _cell(value: Any) -> Any:
     return value
 
 
-_json_line = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(..., separators=(",", ":"))
+def _json_text(value: Any) -> str:
+    """A cell's JSON text: _json_value(value) as the JSON encoder writes it."""
+    value = _json_value(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    return encode_basestring_ascii(value) if isinstance(value, str) else repr(value)  # else an int or a finite float
+
+
+_BOOL_TEXT = {False: "false", True: "true"}
+
+
+class _FloatTexts(dict):
+    """The text of each distinct float of a table, its repr computed once: a table repeats many of its values.
+
+    A non-finite float's JSON text is _json_text's; its CSV text, its repr,
+    is the text _cell gives it.  A zero is not kept but written on each
+    lookup, since 0.0 and -0.0 are one key with two texts.
+    """
+
+    def __init__(self, floats: Iterable[float], fmt: str):
+        distinct = dict.fromkeys(floats)
+        distinct.pop(0.0, None)
+        super().__init__(zip(distinct, map(float.__repr__, distinct)))
+        if fmt == "json":
+            for value in filterfalse(math.isfinite, distinct):
+                self[value] = _json_text(value)
+
+    __missing__ = staticmethod(float.__repr__)  # a zero's text, written in C
+
+
+def _json_template(columns: list[str]) -> str:
+    """One JSON-lines line of these columns, each value a %s slot, as json.dumps(..., separators=(",", ":"))."""
+    return "{" + ",".join(encode_basestring_ascii(c).replace("%", "%%") + ":%s" for c in columns) + "}\n"
+
+
+_COLUMNS_TEMPLATE = _json_template(COLUMNS)
 
 
 def _table(rows: list[dict[str, Any]], columns: list[str], fmt: str) -> str:
     """Rows under a column list: CSV with a header line, or ("json") one JSON object per line.
 
-    Every cell goes through one rule per format: _json_value for JSON lines, _cell for CSV.
+    The table's cells are written in one pass, each by the rule of its
+    type, chosen in C: a float by its repr, computed once per distinct value
+    (_FloatTexts), a bool as true or false, None as null or an empty cell,
+    a str as a JSON string or, for CSV, as it is for csv.writer to quote.
+    Any other cell goes through the one rule of its format, _json_value for
+    JSON lines and _cell for CSV; each rule gives the text that one gives.
     """
+    cells = list(chain.from_iterable(map(row.get, columns) for row in rows))
+    types = list(map(type, cells))
+    floats = _FloatTexts(compress(cells, map(operator.is_, types, repeat(float))), fmt)
+    string, null, rule = (encode_basestring_ascii, "null", _json_text) if fmt == "json" else (str, "", _cell)
+    rules = {float: floats.__getitem__, bool: _BOOL_TEXT.__getitem__, str: string, type(None): {None: null}.__getitem__}
+    texts = map(operator.call, map(rules.get, types, repeat(rule)), cells)
+    lines = zip(*[texts] * len(columns))  # each row's texts
     if fmt == "json":
-        return "".join(
-            _json_line(dict(zip(columns, map(_json_value, map(row.get, columns))))) + "\n"
-            for row in rows
-        )
+        template = _COLUMNS_TEMPLATE if columns is COLUMNS else _json_template(columns)
+        return "".join(map(template.__mod__, lines))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows(map(_cell, map(row.get, columns)) for row in rows)
+    writer.writerows(lines)
     return out.getvalue()
 
 

@@ -101,6 +101,8 @@ CASES = {
     "check_all.tol": (MALFORMED_TOLERANCE, lambda v: check_all(MODEL, PLUS_Z, SX, SY, tol=v)),
     "verdicts.tol": (MALFORMED_TOLERANCE, lambda v: verdicts(Evaluation(MODEL, PLUS_Z, SX, SY), tol=v)),
     "conditional_pairs.floor": (MALFORMED_REAL, lambda v: conditional_pairs(MODEL, PLUS_Z, SX, floor=v)),
+    "Evaluation.conditional_pairs.floor": (MALFORMED_REAL,
+                                           lambda v: Evaluation(MODEL, PLUS_Z, SX, SY).conditional_pairs(v)),
     "check.readout_floor": (MALFORMED_REAL, lambda v: check("SQL_COND_E3", MODEL, PLUS_Z, SX, SY, readout_floor=v)),
     "conditional_resolution.readout": (MALFORMED_REAL, lambda v: conditional_resolution(MODEL, PLUS_Z, SX, v)),
     "conditional_post_state.readout": (MALFORMED_REAL, lambda v: conditional_post_state(MODEL, PLUS_Z, v)),

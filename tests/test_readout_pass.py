@@ -31,6 +31,7 @@ from murel.model import (
     NAMED_QUBIT_STATES,
     ZERO_PROB,
     IndirectModel,
+    build_shift_model,
     build_sigma_phi,
     calibrated_outcomes,
     conditional_post_state,
@@ -166,6 +167,24 @@ def test_the_readout_layout_is_built_once_per_meter_and_lives_on_the_meter(monke
     monkeypatch.undo()
     gc.collect()
     assert alive() is None
+
+
+def test_a_value_map_that_overflows_makes_an_infinite_conditional_error():
+    """A possible readout whose value map raises OverflowError has eps_cond inf; an impossible one is not mapped.
+
+    SQL_COND_E3 then rejects an infinite worst readout as a non-finite slack.
+    """
+    shift = build_shift_model(herm_eig(np.diag([0.0, 1.0])), 4, PureState(np.array([0.6, 0.48, 0.64, 0.0])))
+    model = IndirectModel(2, 4, shift.unitary, shift.probe_state, shift.meter,
+                          value_map_x0=lambda v: math.exp(1000.0 * v))  # overflows at every readout but 0
+    sx, sz = NAMED_OBSERVABLES["sigma_x"], NAMED_OBSERVABLES["sigma_z"]
+    plus_z, minus_z = NAMED_QUBIT_STATES["+z"], NAMED_QUBIT_STATES["-z"]  # +z leaves readout 3 impossible
+    assert conditional_pairs(model, plus_z, sz) == [(0.0, 0.36, 0.0, 0.0), (1.0, 0.2304, math.inf, 0.0),
+                                                    (2.0, 0.4096, math.inf, 0.0)]
+    assert conditional_resolution(model, plus_z, sz, 1.0) == (math.inf, 0.0)
+    assert check("SQL_COND_E3", model, plus_z, sz, sx).slack == 0.0  # readout 0 is the worst, and finite
+    with pytest.raises(ValueError, match=r"^SQL_COND_E3: non-finite slack inf \(lhs inf, rhs 0\.0\)$"):
+        check("SQL_COND_E3", model, minus_z, sz, sx)
 
 
 def test_the_layout_groups_one_column_clusters_in_place_and_wider_ones_by_width():

@@ -4,8 +4,9 @@ The reference table evaluates each distinct (phi, state, value map) once and
 copies that row for a repeat.  A sweep resolves x0, y0, the state and the value
 map once and reads each grid value by the real-number rule.  Both bias norms
 come from one call of the SVD gufunc behind np.linalg.svd.  The table writer
-writes plain cells inline.  Each test keeps the per-item path as its
-reference and requires equal bits.
+takes a table's cells in one pass, each by the rule of its type, with one
+repr per distinct float.  Each test keeps the per-item path as its reference
+and requires equal bits.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from murel.metrics import Evaluation, unbiasedness_residual_x0, unbiasedness_res
 from murel.model import build_sigma_phi, named_qubit_state, pauli_observable, rescale_mvo
 from murel.reporting import (
     COLUMNS,
+    REPORT_HEADER_COMMENT,
     _SPIN_ROWS,
     _cell,
     _json_value,
@@ -205,3 +207,54 @@ def test_the_inline_cells_write_as_the_per_cell_path(fmt):
     assert _table(rows, columns, fmt) == _per_cell_table(rows, columns, fmt)
     report_rows = spin_reference_rows()
     assert _table(report_rows, COLUMNS, fmt) == _per_cell_table(report_rows, COLUMNS, fmt)
+
+
+# Columns whose cells are each of one kind, in row order: the writer takes a float, a bool and a str by its
+# type, and keeps one text per distinct float of a table, so a column of one kind, repeated values, both zeros
+# and several nan objects each take a path of their own.
+NAN = float("nan")
+HOMOGENEOUS = {
+    "floats": [0.25, -0.0, 1e-300, 0.0, 0.1, -0.0, 1.7976931348623157e308, 5e-324, 0.1, -2.5],
+    "floats-nan": [0.5, math.nan, 0.1, NAN, math.nan, -0.0, 0.5, 0.0, 2.0, NAN],
+    "floats-inf": [math.inf, 0.1, 0.0, -0.0, math.inf, 3.0, 0.25, 1e-300, -1.0, 0.1],
+    "floats-ninf": [0.1, -math.inf, -0.0, 0.1, 0.0, -math.inf, 7.5, 0.25, 1e308, -1e-300],
+    "float64": [np.float64(v) for v in (0.1, -0.0, 1e-300, 0.0, math.nan, 0.1, -math.inf, 2.5, 1e16, 0.25)],
+    "floats-none": [0.1, None, -0.0, None, 0.0, 0.1, None, 1e-300, 0.25, None],
+    "bools": [True, False, False, True, True, False, True, False, True, True],
+    "np-bools": [np.bool_(v) for v in (True, False, False, True, True, False, True, False, True, True)],
+    "strings": ["détuning-vecteur", "a,b", 'say "x"', "line\nbreak", "", "plain", "tab\there", "100%",
+                "[[0.6,0.0],[0.0,0.8]]", "ünïcödé \u2603"],
+}
+
+
+def _homogeneous_rows(columns: list[str], kinds: list[str]) -> list[dict]:
+    return [{c: HOMOGENEOUS[kind][i] for c, kind in zip(columns, kinds)} for i in range(10)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", list(HOMOGENEOUS))
+def test_a_column_of_one_kind_writes_as_the_per_cell_path(fmt, kind):
+    rows = _homogeneous_rows(["c"], [kind])
+    for table in (rows, rows[:1], rows[::-1], []):
+        assert _table(table, ["c"], fmt) == _per_cell_table(table, ["c"], fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_columns_of_every_kind_write_as_the_per_cell_path(fmt):
+    kinds = list(HOMOGENEOUS) * 2
+    columns = [f"c{i}" for i in range(len(kinds))] + ["per%cent", 'quo"te', "clé"]
+    rows = _homogeneous_rows(columns, kinds + ["floats", "strings", "bools"])
+    for table in (rows, rows[:1], rows[3:], []):
+        assert _table(table, columns, fmt) == _per_cell_table(table, columns, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_columns_of_every_kind_write_as_the_per_cell_path(fmt):
+    """The COLUMNS template, built once, under columns of each kind."""
+    rows = _homogeneous_rows(COLUMNS, [list(HOMOGENEOUS)[i % len(HOMOGENEOUS)] for i in range(len(COLUMNS))])
+    for table in (rows, rows[:1], []):
+        expected = _per_cell_table(table, COLUMNS, fmt)
+        if fmt == "json":
+            assert render_json_lines(table) == expected
+        else:
+            assert render_csv(table) == REPORT_HEADER_COMMENT + "\n" + expected

@@ -6,15 +6,21 @@ metrics.Evaluation stays the per-candidate evaluator of check, check_all and the
 search.  These tests pin the two together bit for bit: every statistic, outcome,
 conditional pair and verdict side of a stacked configuration equals the one
 Evaluation and check give it alone, by float.hex and by type, at stack sizes 1,
-2 and 24, so the two evaluators cannot drift apart.
+2 and 24, so the two evaluators cannot drift apart.  A row's verdict cells
+come from relations._verdict_cells, without a RelationVerdict each; they equal
+the row's own verdicts, and a table with a non-finite slack raises what its
+first failing row raises alone.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 from conftest import random_hermitian, random_integer_spectrum_observable, random_state_vector
+from test_nonfinite_verdicts import HUGE_X0, SCALED_VALUES
 
 import murel.metrics
 from murel.cli import main
@@ -29,6 +35,7 @@ from murel.search import SearchSpace, haar_unitary, search_min_slack
 SIZES = [1, 2, 24]
 VALUE_MAPS = ["identity", "scale:2.5", "shift:-0.75", "center_on_meter_mean", "scale:-3"]
 QUBIT_OBSERVABLES = ["sigma_x", "sigma_y", "sigma_z"]
+NON_FINITE = {"scaled-values": SCALED_VALUES, "huge-x0": HUGE_X0}
 SWEEP_SCENARIO = {
     "schema_version": 1,
     "id": "stack-sweep",
@@ -180,6 +187,55 @@ def test_stacked_rows_equal_single_rows_evaluations_and_checks(family, n):
             v = check(rid, *_parts(cfg), tol=cfg.tolerance)
             for part in ("lhs", "rhs", "slack", "holds"):
                 _same(row[f"{rid.value}_{part}"], getattr(v, part), f"{rid.value}_{part}")
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("family", [*SCENARIOS, "mixed"])
+def test_table_verdict_cells_equal_per_row_verdicts(family, n):
+    """Each verdict cell of a report row is verdicts(Evaluation(...))'s field: a float by float.hex, holds by identity.
+
+    A mixed table is one stack per shape, its rows put back in order.
+    """
+    if family == "mixed":
+        cfgs = [cfg for name in SCENARIOS for cfg in _configurations(name, n, seed=7)]
+        cfgs = [cfgs[i] for i in np.random.default_rng(n).permutation(len(cfgs))]
+    else:
+        cfgs = _configurations(family, n, seed=5)
+    for row, cfg in zip(_configuration_rows(cfgs), cfgs):
+        for v in verdicts(Evaluation(*_parts(cfg)), tol=cfg.tolerance):
+            for part in ("lhs", "rhs", "slack"):
+                _same(row[f"{v.relation_id}_{part}"], getattr(v, part), f"{v.relation_id}_{part}")
+            assert row[f"{v.relation_id}_holds"] is v.holds
+
+
+def test_a_slack_of_minus_the_tolerance_holds_in_a_table_as_alone():
+    """holds is slack >= -tol: at a tolerance of exactly -slack the relation holds, a float below it not."""
+    cfg = build_configuration(Scenario(family="sigma_phi", model_params={"phi_degrees": 20.0}, state_spec="+z",
+                                       x0_spec="sigma_x", y0_spec="sigma_y"))
+    slack = check("HEISENBERG_E1", *_parts(cfg)).slack
+    assert slack < 0
+    for tol, holds in ((-slack, True), (math.nextafter(-slack, 0.0), False)):
+        at = build_configuration(dataclasses.replace(cfg.scenario, tolerance=tol))
+        rows = _configuration_rows([cfg, at, cfg])
+        assert [row["HEISENBERG_E1_holds"] for row in rows] == [False, holds, False]
+        assert verdicts(Evaluation(*_parts(at)), tol=tol)[0].holds is holds
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [["scaled-values"], ["huge-x0"], ["scaled-values", "huge-x0"],
+                                 ["huge-x0", "scaled-values"]], ids="+".join)
+def test_a_table_with_a_non_finite_slack_raises_what_its_first_failing_row_raises(bad, where):
+    """Configurations whose slacks overflow, among finite sigma_phi ones: first, in the middle or last."""
+    finite = _configurations("sigma_phi", 5, seed=6)
+    failing = [BuiltConfiguration(*NON_FINITE[name], finite[0].scenario) for name in bad]
+    at = {"first": 0, "middle": 2, "last": 5}[where]
+    with pytest.raises(ValueError) as expected:
+        verdicts(Evaluation(*_parts(failing[0])))
+    for call in (lambda: _configuration_rows(finite[:at] + failing + finite[at:]),
+                 lambda: configuration_row(failing[0])):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(expected.value)
 
 
 def test_the_reference_table_and_a_sweep_are_each_one_stack(monkeypatch, tmp_path, capsys):
