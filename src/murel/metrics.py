@@ -100,16 +100,11 @@ def stddev(state: PureState | MixedState, observable) -> float:
     return _sqrt_clamped(var, float(np.trace(state.rho @ a @ a).real) + mean * mean)
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """Arrays of one shape along a new leading axis; a lone array's is a view."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
-
-
 def _stacked_models(models: list[IndirectModel]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unitaries (n, d, d), probe amplitudes (n, p) and measurement values (n, 2, p) of n models,
     each stacked along a leading axis; a model's values are those of value_map_x0, then value_map_xt."""
-    return (_stack([model.unitary for model in models]),
-            _stack([model.probe_state.amplitudes for model in models]),
+    return (np.array([model.unitary for model in models]),
+            np.array([model.probe_state.amplitudes for model in models]),
             np.array([model.measurement_values for model in models]))
 
 
@@ -339,8 +334,6 @@ def _table_statistics(configs: list[tuple]) -> list[_TableStatistics]:
     groups: dict[tuple, list[int]] = {}
     for i, (model, _, _, _) in enumerate(configs):
         groups.setdefault((model.object_dim, model.probe_dim, model.meter), []).append(i)
-    if len(groups) == 1:
-        return _stacked_statistics(configs)
     stats: list = [None] * len(configs)
     for members in groups.values():
         for i, row in zip(members, _stacked_statistics([configs[i] for i in members])):
@@ -378,7 +371,7 @@ def _stacked_statistics(configs: list[tuple]) -> list[_TableStatistics]:
     meter, n, o = models[0].meter, len(configs), models[0].object_dim
     parts = _stacked_models(models)
     unitaries, probes, values = parts
-    psi = _stack([state.amplitudes for _, state, _, _ in configs])
+    psi = np.array([state.amplitudes for _, state, _, _ in configs])
     xy = np.array([(x0.matrix, y0.matrix) for _, _, x0, y0 in configs])  # (n, 2, o, o)
     x0s = xy[:, 0]
     # psi, x0 psi and y0 psi, each evolved to U (v (x) xi) in the meter eigenbasis as evolved_amplitudes does

@@ -176,10 +176,6 @@ def _cell(value: Any) -> Any:
 def _json_text(value: Any) -> str:
     """A cell's JSON text: _json_value(value) as the JSON encoder writes it."""
     value = _json_value(value)
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
     return encode_basestring_ascii(value) if isinstance(value, str) else repr(value)  # else an int or a finite float
 
 

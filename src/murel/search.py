@@ -268,14 +268,8 @@ def _default_pair(family: Family, dim: int) -> tuple[tuple, tuple]:
     return tuple((spec, _resolve_observable(spec, "SearchSpace")) for spec in specs)
 
 
-@functools.lru_cache(maxsize=32)
 def _step_sizes(widest: float) -> int:
-    """How many refine step sizes, widest halved h = 0, 1, ... times, are at least MIN_STEP.
-
-    Counted once per distinct width, as _default_pair resolves once per
-    dimension: a search's widest width is a quarter of one of a few bound
-    ranges.
-    """
+    """How many refine step sizes, widest halved h = 0, 1, ... times, are at least MIN_STEP."""
     return next(h for h in itertools.count() if math.ldexp(widest, -h) < MIN_STEP)
 
 

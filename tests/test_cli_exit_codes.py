@@ -81,6 +81,10 @@ CASES = [
     ("probe-dim-0", _text({**SCENARIO, "model": SHIFT_PROBE_DIM_0}), ["metrics", "FILE"], 2),
     ("object-dim-0", _text({**SCENARIO, "model": {**EXPLICIT_CNOT, "object_dim": 0}}), ["metrics", "FILE"], 2),
     ("shift-object-dim-3", None, [*SEARCH, "--budget", "30", "--object-dim", "3"], 1),
+    ("state-empty", _text({**SCENARIO, "state": []}), ["metrics", "FILE"], 2),
+    ("x0-empty", _text({**SCENARIO, "observables": {"x0": [], "y0": "sigma_y"}}), ["metrics", "FILE"], 2),
+    ("value-map-number", _text({**SCENARIO, "value_map": 5}), ["metrics", "FILE"], 2),
+    ("value-map-scale:inf", _text({**SCENARIO, "value_map": "scale:inf"}), ["metrics", "FILE"], 2),
 ]
 # The stderr line of the rejections above that no other test reads.
 MESSAGES = {
@@ -93,6 +97,10 @@ MESSAGES = {
     "probe-dim-0": "scenario error: scenario.model.probe_dim: probe_dim must be positive\n",
     "object-dim-0": "scenario error: scenario.model.object_dim: object_dim must be positive\n",
     "shift-object-dim-3": "usage error: SearchSpace.x0_spec: observable dim 2 != object_dim 3\n",
+    "state-empty": "scenario error: scenario.state: expected a non-empty list of [re, im] pairs\n",
+    "x0-empty": "scenario error: scenario.observables.x0: expected a non-empty list of rows\n",
+    "value-map-number": "scenario error: scenario.value_map: expected a value-map string, got 5\n",
+    "value-map-scale:inf": "scenario error: scenario.value_map: non-finite argument in value map 'scale:inf'\n",
 }
 
 

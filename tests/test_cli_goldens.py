@@ -9,6 +9,8 @@ a comma, which the CSV record must quote.
 from __future__ import annotations
 
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +68,11 @@ GOLDEN = {
 
 # SHA-256 of the witness file that the "search" command writes, in either format.
 WITNESS_SHA256 = "94ba3734a4969826faf202edc4d66656c2ee8700c9fd51dbbb986c87c68f5936"
+
+
+def test_readme_scenario_is_the_readme_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"^```json\n(.*?)^```", readme, re.S | re.M) == [README_SCENARIO]
 
 
 def _sha256(data: bytes) -> str:
