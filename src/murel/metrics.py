@@ -14,18 +14,19 @@ operators come from K = U (I (x) xi), a d x object_dim matrix.  Norm-based
 quantities are exactly nonnegative; the trace-based spread of a mixed state
 clamps tiny negative round-off and rejects anything worse.
 
-Two evaluators give these statistics, bit for bit the same.  `Evaluation`
-serves the search, `check`, `check_all` and `certify`: one candidate at a
-time, and only the statistics a relation reads.  `_table_statistics` serves
-report tables: it evaluates every statistic of many configurations as one
-stack, one numpy call each over a leading configuration axis.  On a sigma_phi
-2x2 row (2 shared vCPUs, Python 3.11.7, numpy 2.4.6, one BLAS thread,
-timeit), HEISENBERG_E1's sides cost 23 us from an Evaluation and 121 us from
-a stack of one, which computes them all; a full row's statistics, outcomes
-and nine verdicts cost 107 us from an Evaluation and 25 us per row from a
-stack of 24.  Both read the readouts, each meter cluster's probability and
-the conditional mean and spread of x0 it leaves, from one pass, `_readouts`:
-a table calls it with its stack, an Evaluation with a stack of one on the
+One record, `Evaluation`, holds these statistics, filled one of two ways,
+bit for bit the same.  `Evaluation.__init__` fills it lazily for the
+search, `check`, `check_all` and `certify`: one candidate at a time, and
+only the statistics a relation reads.  `_table_statistics` fills it at once
+for report tables: every statistic of many configurations, one numpy call
+each over a leading configuration axis.  On a sigma_phi 2x2 row (2 shared
+vCPUs, Python 3.11.7, numpy 2.4.6, one BLAS thread, timeit),
+HEISENBERG_E1's sides cost 23 us from an Evaluation and 121 us from a stack
+of one, which computes them all; a full row's statistics, outcomes and nine
+verdicts cost 107 us from an Evaluation and 25 us per row from a stack of
+24.  Both read the readouts, each meter cluster's probability and the
+conditional mean and spread of x0 it leaves, from one pass, `_readouts`: a
+table calls it with its stack, an Evaluation with a stack of one on the
 first read of `readouts`.  The meter keeps its cluster layout.
 """
 
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianObservable, MixedState, PureState, _cached, _singular_values, spectral_norm
+from .linalg import HermitianObservable, MixedState, PureState, _cached, _singular_values, as_complex_matrix
+from .linalg import spectral_norm
 from .model import ZERO_PROB, IndirectModel, _check_fit, _matched_readout, _named_real, _readout_groups
 from .model import calibrated_outcomes, evolved_amplitudes, readout_clusters  # noqa: F401  (stays a metrics name)
 
@@ -88,8 +90,9 @@ def _random_part(eps_x0: float, eps_sys: float, sigma_x0: float) -> float | None
 
 
 def stddev(state: PureState | MixedState, observable) -> float:
-    """Standard deviation of an observable in a pure or mixed state."""
-    a = np.asarray(observable.matrix if isinstance(observable, HermitianObservable) else observable, complex)
+    """Standard deviation of an observable, or of a raw finite square operator, in a pure or mixed state."""
+    a = (observable.matrix if isinstance(observable, HermitianObservable)
+         else as_complex_matrix(observable, name="operator"))
     if a.shape != (state.dim, state.dim):
         raise ValueError(f"operator shape {a.shape} does not match state dim {state.dim}")
     if isinstance(state, PureState):
@@ -161,8 +164,9 @@ class Evaluation:
     `__init__` validates the dimensions and evolves the input state to `amps`
     (object index by meter eigenvector index).  Each statistic (the report
     fields, the commutator bounds, sigma(y_t) and the readouts) is computed
-    once, on first read, so a caller pays only for what it reads.  Bias
-    residuals are computed on request.
+    once, on first read, so a caller pays only for what it reads; the bias
+    residuals on the first read of `metrics`.  A record of _table_statistics
+    has every statistic set at once, and no `amps`.
     """
 
     def __init__(
@@ -240,12 +244,16 @@ class Evaluation:
     def evolved_bound(self) -> float:
         return float(abs(np.vdot(self._x_t_amps, self._y_t_amps).imag))  # 0.5 |<[x_t, y_t]>|
 
-    def report(self) -> MetricsReport:
+    @_cached
+    def metrics(self) -> dict:
+        """The MetricsReport fields by name, bias residuals included: a report row's metric cells."""
         res_x0, res_xt = _singular_values(_model_bias_operators(self.model, self.x0))[:, 0].tolist()
-        return MetricsReport(
-            self.eps_x0, self.eps_xt, self.eta_y0, self.sigma_x0, self.sigma_y0, self.sigma_mvo,
-            self.delta, self.eps_sys, self.eps_rand, res_x0, res_xt,
-        )
+        return {"eps_x0": self.eps_x0, "eps_xt": self.eps_xt, "eta_y0": self.eta_y0, "sigma_x0": self.sigma_x0,
+                "sigma_y0": self.sigma_y0, "sigma_mvo": self.sigma_mvo, "delta": self.delta,
+                "eps_sys": self.eps_sys, "eps_rand": self.eps_rand, "unbias_res_x0": res_x0, "unbias_res_xt": res_xt}
+
+    def report(self) -> MetricsReport:
+        return MetricsReport(**self.metrics)
 
     @_cached
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # as _readouts needs
@@ -305,24 +313,8 @@ def _readouts(models: list[IndirectModel], amps: np.ndarray, x0s: np.ndarray) ->
     return records
 
 
-class _TableStatistics:
-    """One configuration's statistics from _table_statistics, by the names Evaluation gives them.
-
-    `metrics` holds the MetricsReport fields by name.  relations.verdicts
-    reads its sides from this as from an Evaluation, its readouts too.
-    """
-
-    def __init__(self, metrics: dict, **extras):
-        vars(self).update(metrics, **extras)
-        self.metrics = metrics
-
-    outcome_probabilities = Evaluation.outcome_probabilities
-    conditional_pairs = Evaluation.conditional_pairs
-    _conditional_pairs = Evaluation._conditional_pairs
-
-
-def _table_statistics(configs: list[tuple]) -> list[_TableStatistics]:
-    """The statistics of (model, state, x0, y0) configurations, each bit for bit as Evaluation gives it.
+def _table_statistics(configs: list[tuple]) -> list[Evaluation]:
+    """An Evaluation of each (model, state, x0, y0) configuration, all set at once, bit for bit the lazy one.
 
     Each configuration is checked as Evaluation checks it, all before any
     arithmetic; then the configurations that share object dim, probe dim and
@@ -353,7 +345,7 @@ _SPREADS = np.array([5, 4])
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _stacked_statistics(configs: list[tuple]) -> list[_TableStatistics]:
+def _stacked_statistics(configs: list[tuple]) -> list[Evaluation]:
     """_table_statistics of configurations that share object dim, probe dim and meter.
 
     Every array statistic comes from numpy calls over a leading configuration
@@ -365,7 +357,9 @@ def _stacked_statistics(configs: list[tuple]) -> list[_TableStatistics]:
     Evaluation calls, never warns, but np.vecdot warns of an overflow or an
     invalid value, and _readouts divides by an impossible readout's zero
     probability, so the pass runs with those warnings off.  The scalar
-    work of each configuration is its own, as in Evaluation.
+    work of each configuration is its own, as in Evaluation.  Each record is
+    made as the _trusted constructors make theirs, its statistics, `metrics`
+    among them, set by one update: a table pays for no lazy read.
     """
     models = [model for model, _, _, _ in configs]
     meter, n, o = models[0].meter, len(configs), models[0].object_dim
@@ -402,14 +396,15 @@ def _stacked_statistics(configs: list[tuple]) -> list[_TableStatistics]:
         sigma_x0, sigma_y0 = object_spreads[i]
         delta = joint_dot[0].real - object_dot[0].real
         eps_sys = abs(delta)
-        stats.append(_TableStatistics(
-            {"eps_x0": eps_x0, "eps_xt": eps_xt, "eta_y0": eta_y0, "sigma_x0": sigma_x0, "sigma_y0": sigma_y0,
-             "sigma_mvo": joint_spreads[i][0], "delta": delta, "eps_sys": eps_sys,
-             "eps_rand": _random_part(eps_x0, eps_sys, sigma_x0),
-             "unbias_res_x0": bias_norms[i][0], "unbias_res_xt": bias_norms[i][1]},
-            object_bound=abs(object_dot[2].imag), evolved_bound=abs(joint_dot[2].imag), sigma_yt=joint_spreads[i][1],
-            model=model, readouts=readouts[i],
-        ))
+        metrics = {"eps_x0": eps_x0, "eps_xt": eps_xt, "eta_y0": eta_y0, "sigma_x0": sigma_x0, "sigma_y0": sigma_y0,
+                   "sigma_mvo": joint_spreads[i][0], "delta": delta, "eps_sys": eps_sys,
+                   "eps_rand": _random_part(eps_x0, eps_sys, sigma_x0),
+                   "unbias_res_x0": bias_norms[i][0], "unbias_res_xt": bias_norms[i][1]}
+        ev = object.__new__(Evaluation)
+        vars(ev).update(metrics, metrics=metrics, object_bound=abs(object_dot[2].imag),
+                        evolved_bound=abs(joint_dot[2].imag), sigma_yt=joint_spreads[i][1],
+                        model=model, x0=configs[i][2], readouts=readouts[i])
+        stats.append(ev)
     return stats
 
 

@@ -263,7 +263,9 @@ class TestFullReport:
     (named_qubit_state("+x"), np.eye(3), ValueError, r"^operator shape \(3, 3\) does not match state dim 2$"),
     # not Hermitian, so its "variance" <B^2> = -1 is no round-off
     (MixedState(np.eye(2) / 2), np.array([[0.0, 1.0], [-1.0, 0.0]]), ArithmeticError, r"^negative variance -1\.0 "),
-], ids=["shape", "negative-variance"])
+    (named_qubit_state("+x"), [[math.nan, 0.0], [0.0, 1.0]], ValueError, r"^operator has non-finite entries$"),
+    (MixedState(np.eye(2) / 2), [[math.nan, 0.0], [0.0, 1.0]], ValueError, r"^operator has non-finite entries$"),
+], ids=["shape", "negative-variance", "nan-pure", "nan-mixed"])
 def test_stddev_rejects_an_operator_it_cannot_spread(state, operator, error, message):
     with pytest.raises(error, match=message):
         stddev(state, operator)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from test_nonfinite_verdicts import HUGE_X0, SCALED_VALUES
 import murel.metrics
 from murel.cli import main
 from murel.linalg import PureState, herm_eig
-from murel.metrics import Evaluation, _table_statistics
-from murel.model import NAMED_OBSERVABLES, NAMED_QUBIT_STATES, IndirectModel, build_sigma_phi, rescale_mvo
+from murel.metrics import Evaluation, MetricsReport, _table_statistics
+from murel.model import NAMED_OBSERVABLES, NAMED_QUBIT_STATES, ZERO_PROB, IndirectModel, build_sigma_phi, rescale_mvo
 from murel.relations import RelationId, check, verdicts
 from murel.reporting import _configuration_rows, configuration_row, spin_reference_rows
 from murel.scenario import BuiltConfiguration, Scenario, ScenarioError, build_configuration
@@ -126,6 +127,37 @@ def test_stacked_statistics_equal_evaluations(family, n):
         ev = Evaluation(*config)
         _same_statistics(s, ev)
         _same(_verdict_cells(s), _verdict_cells(ev), "verdicts")
+
+
+@pytest.mark.parametrize("n", [1, 24])
+@pytest.mark.parametrize("family", list(SCENARIOS))
+def test_a_table_record_answers_every_question_an_evaluation_answers(family, n):
+    """Each record of a table is an Evaluation, and each of its methods answers as a fresh Evaluation's does."""
+    configs = [_parts(cfg) for cfg in _configurations(family, n, seed=8)]
+    records = _table_statistics(configs)
+    assert len(records) == n
+    for record, config in zip(records, configs):
+        assert type(record) is Evaluation
+        ev = Evaluation(*config)
+        report = record.report()
+        assert type(report) is MetricsReport
+        _same(list(vars(report).values()), list(vars(ev.report()).values()), "report")
+        for value, prob, _, _ in ev.readouts:
+            if prob > ZERO_PROB:
+                _same(record.conditional_resolution(value), ev.conditional_resolution(value), f"readout {value}")
+                continue
+            with pytest.raises(ValueError) as expected:
+                ev.conditional_resolution(value)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+                record.conditional_resolution(value)
+        for floor in (1e-12, 0.3):
+            _same(record.conditional_pairs(floor), ev.conditional_pairs(floor), f"conditional pairs above {floor}")
+        _same(record.outcome_probabilities(), ev.outcome_probabilities(), "outcomes")
+        for got, expected in zip(verdicts(record), verdicts(ev), strict=True):
+            assert got.relation_id == expected.relation_id
+            for part in ("lhs", "rhs", "slack", "tol"):
+                _same(getattr(got, part), getattr(expected, part), f"{expected.relation_id}.{part}")
+            assert got.holds is expected.holds
 
 
 @pytest.mark.parametrize("n", SIZES)
